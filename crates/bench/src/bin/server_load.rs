@@ -164,7 +164,7 @@ fn run_load() -> LoadRun {
         // Stagger connection attempts a little so a quarter-thousand
         // simultaneous SYNs cannot overflow the listener backlog; the
         // barrier re-synchronizes every session before the timed loop.
-        // lint: allow(concurrency) — one OS thread per simulated client session
+        // analyze: allow(R3, one OS thread per simulated client session)
         handles.push(std::thread::spawn(move || {
             std::thread::sleep(Duration::from_micros((i as u64 % 64) * 200));
             drive_session(addr, &start)

@@ -486,7 +486,7 @@ impl Array {
     /// `1..=values.len()`. Panics on an invalid schema name; library code
     /// should use [`Array::try_int_1d`].
     pub fn int_1d(name: &str, attr: &str, values: &[i64]) -> Array {
-        // lint: allow(panic) — test/bench convenience; try_int_1d is the fallible form
+        // analyze: allow(R1, test/bench convenience; try_int_1d is the fallible form)
         Array::try_int_1d(name, attr, values).expect("valid 1-D schema")
     }
 
@@ -515,7 +515,7 @@ impl Array {
     /// Panics on an invalid schema name; library code should use
     /// [`Array::try_f64_2d`].
     pub fn f64_2d(name: &str, attr: &str, rows: &[Vec<f64>]) -> Array {
-        // lint: allow(panic) — test/bench convenience; try_f64_2d is the fallible form
+        // analyze: allow(R1, test/bench convenience; try_f64_2d is the fallible form)
         Array::try_f64_2d(name, attr, rows).expect("valid 2-D schema")
     }
 }

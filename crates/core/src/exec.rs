@@ -253,7 +253,7 @@ where
             }));
         }
         for h in handles {
-            // lint: allow(panic) — re-raises a worker panic so parallel runs fail like serial ones
+            // analyze: allow(R1, re-raises a worker panic so parallel runs fail like serial ones)
             labelled.extend(h.join().expect("worker panicked"));
         }
     });

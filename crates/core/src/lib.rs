@@ -8,6 +8,8 @@
 //!
 //! * the multi-dimensional, nested **array model** (§2.1): [`schema`],
 //!   [`array`], [`chunk`], with columnar chunked storage;
+//! * the **array image** ([`codec`]): the one byte layout of a schema, a
+//!   value and an array, behind the wire protocol, the WAL and SDDF (§2.9);
 //! * **enhanced arrays** — pseudo-coordinate systems via UDFs ([`enhance`]),
 //!   and ragged boundaries via **shape functions** ([`shape`]);
 //! * the **operator suite** (§2.2): structural operators (Subsample,
@@ -31,6 +33,7 @@
 pub mod array;
 pub mod bitvec;
 pub mod chunk;
+pub mod codec;
 pub mod enhance;
 pub mod error;
 pub mod exec;

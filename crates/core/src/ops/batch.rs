@@ -420,7 +420,7 @@ pub(crate) fn filter_columns(chunk: &Chunk, schema: &ArraySchema, pred: &Expr) -
         present.clone(),
         out_cols,
     )
-    .ok() // lint: allow(option-api) — None means "fall back to the per-cell loop", which reproduces the exact error
+    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
 }
 
 /// Batch apply over one dense chunk: fused expression evaluation plus
@@ -467,7 +467,7 @@ pub(crate) fn apply_columns(
         present.clone(),
         out_cols,
     )
-    .ok() // lint: allow(option-api) — None means "fall back to the per-cell loop", which reproduces the exact error
+    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
 }
 
 /// Batch project over one dense chunk: a pure column subset — clones the
@@ -489,7 +489,7 @@ pub(crate) fn project_columns(
         present.clone(),
         out_cols,
     )
-    .ok() // lint: allow(option-api) — None means "fall back to the per-cell loop", which reproduces the exact error
+    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
 }
 
 /// Batch subsample over one dense chunk: evaluates each dimension
@@ -521,7 +521,7 @@ pub(crate) fn subsample_columns(
         for (o, slot) in allowed[d].iter_mut().enumerate() {
             if *slot {
                 // Registry-free conditions never error (Fn bailed above).
-                // lint: allow(option-api) — None means "fall back to the per-cell loop", which reproduces the exact error
+                // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
                 *slot = cond.matches(rect.low[d] + o as i64, None).ok()?;
             }
         }

@@ -152,7 +152,7 @@ impl DimPredicate {
             low[d] = nlo;
             high[d] = nhi;
         }
-        // lint: allow(option-api) — an inverted rect means the predicate matches nothing; None is pruning, not an error
+        // analyze: allow(R4, an inverted rect means the predicate matches nothing; None is pruning, not an error)
         HyperRect::new(low, high).ok()
     }
 }

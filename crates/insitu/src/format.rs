@@ -10,91 +10,33 @@
 //! chunk index (rect → offset,len per chunk) | index-offset u64 | magic
 //! ```
 //!
-//! The header carries the full array schema; each chunk block is the same
+//! The header is the array schema in the shared array-image encoding
+//! ([`scidb_core::codec`]); everything around it is little-endian, like the
+//! other file formats in this crate. Each chunk block is the same
 //! self-describing compressed bucket payload the storage manager writes
 //! (see [`scidb_storage::bucket`]), so SDDF reads are chunk-granular: a
 //! region query touches only the blocks whose rectangles intersect it.
 
 use crate::adaptor::{wire::*, InSituSource, MeteredFile};
 use scidb_core::array::Array;
+use scidb_core::codec;
 use scidb_core::error::{Error, Result};
 use scidb_core::geometry::HyperRect;
-use scidb_core::schema::{ArraySchema, AttributeDef, DimensionDef};
-use scidb_core::value::ScalarType;
+use scidb_core::schema::ArraySchema;
 use scidb_storage::bucket::{deserialize_chunk, serialize_chunk, CodecPolicy};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SDDF";
-const VERSION: u32 = 1;
-
-fn encode_schema(schema: &ArraySchema) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_str(&mut out, schema.name());
-    put_u32(&mut out, schema.attrs().len() as u32);
-    for a in schema.attrs() {
-        put_str(&mut out, &a.name);
-        let ty = a.ty.as_scalar().expect("SDDF schemas are scalar-only");
-        put_str(&mut out, ty.name());
-    }
-    put_u32(&mut out, schema.dims().len() as u32);
-    for d in schema.dims() {
-        put_str(&mut out, &d.name);
-        put_i64(&mut out, d.upper.unwrap_or(-1));
-        put_i64(&mut out, d.chunk_len);
-    }
-    out
-}
-
-fn decode_schema(data: &[u8]) -> Result<ArraySchema> {
-    let mut pos = 0usize;
-    let name = str_at(data, &mut pos)?;
-    let n_attrs = u32_at(data, &mut pos)? as usize;
-    // Corrupt counts must error before they drive allocation: each entry
-    // consumes at least 8 bytes of header.
-    if n_attrs > data.len() / 8 {
-        return Err(Error::storage("corrupt SDDF attribute count"));
-    }
-    let mut attrs = Vec::with_capacity(n_attrs);
-    for _ in 0..n_attrs {
-        let aname = str_at(data, &mut pos)?;
-        let tname = str_at(data, &mut pos)?;
-        let ty = ScalarType::parse(&tname)
-            .ok_or_else(|| Error::storage(format!("unknown type '{tname}' in SDDF header")))?;
-        attrs.push(AttributeDef::scalar(aname, ty));
-    }
-    let n_dims = u32_at(data, &mut pos)? as usize;
-    if n_dims > data.len() / 20 {
-        return Err(Error::storage("corrupt SDDF dimension count"));
-    }
-    let mut dims = Vec::with_capacity(n_dims);
-    for _ in 0..n_dims {
-        let dname = str_at(data, &mut pos)?;
-        let upper = i64_at(data, &mut pos)?;
-        let chunk = i64_at(data, &mut pos)?;
-        // Corrupt headers must error, not trip internal invariants.
-        if chunk < 1 || (0..1).contains(&upper) {
-            return Err(Error::storage(format!(
-                "corrupt SDDF dimension '{dname}': upper {upper}, chunk {chunk}"
-            )));
-        }
-        let def = if upper < 0 {
-            DimensionDef::unbounded(dname)
-        } else {
-            DimensionDef::bounded(dname, upper)
-        }
-        .with_chunk(chunk);
-        dims.push(def);
-    }
-    ArraySchema::new(name, attrs, dims)
-}
+const VERSION: u32 = 2;
 
 /// Writes an array to an SDDF file.
 pub fn write_sddf(path: &Path, array: &Array, policy: CodecPolicy) -> Result<u64> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
-    let header = encode_schema(array.schema());
+    let mut header = Vec::new();
+    codec::encode_schema(&mut header, array.schema());
     put_u32(&mut out, header.len() as u32);
     out.extend_from_slice(&header);
 
@@ -157,7 +99,10 @@ impl SddfReader {
         }
         let header_len = u32_at(&head, &mut pos)? as usize;
         let header = file.read_at(12, header_len)?;
-        let schema = Arc::new(decode_schema(&header)?);
+        // The header is one schema image and nothing after it.
+        let schema = codec::decode_all(&header, codec::decode_schema)
+            .map(Arc::new)
+            .map_err(|e| Error::storage(format!("corrupt SDDF header: {}", e.wire_message())))?;
 
         // Footer: … index-offset u64 | magic.
         let footer = file.read_at(flen - 12, 12)?;
@@ -240,7 +185,7 @@ impl InSituSource for SddfReader {
 mod tests {
     use super::*;
     use scidb_core::schema::SchemaBuilder;
-    use scidb_core::value::{record, Value};
+    use scidb_core::value::{record, ScalarType, Value};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("scidb_sddf_{}", std::process::id()));
@@ -319,6 +264,63 @@ mod tests {
         bytes[n - 1] = b'X'; // break footer magic
         std::fs::write(&good, &bytes).unwrap();
         assert!(SddfReader::open(&good).is_err());
+    }
+
+    #[test]
+    fn header_carries_the_whole_schema_and_nested_cells_are_a_typed_error() {
+        let inner = Arc::new(
+            SchemaBuilder::new("inner")
+                .attr("v", ScalarType::Int64)
+                .dim("k", 2)
+                .build()
+                .unwrap(),
+        );
+        let schema = SchemaBuilder::new("Outer")
+            .attr("v", ScalarType::Float64)
+            .nested_attr("n", Arc::clone(&inner))
+            .dim_chunked("I", 4, 2)
+            .dim_unbounded("T")
+            .build()
+            .unwrap();
+        // The header itself holds any schema the array model has.
+        let path = tmp("nested_empty.sddf");
+        write_sddf(&path, &Array::new(schema.clone()), CodecPolicy::raw()).unwrap();
+        assert_eq!(SddfReader::open(&path).unwrap().schema(), &schema);
+        // Bucket payloads do not hold nested cells: an error, not a panic.
+        let mut a = Array::new(schema);
+        let nested = Value::Array(Box::new(Array::from_arc(inner)));
+        a.set_cell(&[1, 1], vec![Value::from(1.0), nested]).unwrap();
+        let err = write_sddf(&tmp("nested.sddf"), &a, CodecPolicy::raw()).unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err}");
+    }
+
+    #[test]
+    fn corrupt_header_is_a_storage_error() {
+        let good = tmp("header.sddf");
+        write_sddf(&good, &sample_array(8, 8), CodecPolicy::raw()).unwrap();
+        let bytes = std::fs::read(&good).unwrap();
+        let header_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        // A hostile attribute count, an unknown type tag, and a header
+        // length that cuts the schema short or runs past it.
+        let attr_count_at = 12 + 4 + "Sample".len() + 1;
+        let mut cases = Vec::new();
+        let mut huge = bytes.clone();
+        huge[attr_count_at..attr_count_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        cases.push(huge);
+        let mut tag = bytes.clone();
+        tag[attr_count_at + 4 + 4 + 1 + 1 + 1] = 99; // first attribute's scalar tag
+        cases.push(tag);
+        for len in [header_len - 1, header_len + 1] {
+            let mut cut = bytes.clone();
+            cut[8..12].copy_from_slice(&(len as u32).to_le_bytes());
+            cases.push(cut);
+        }
+        for (i, case) in cases.iter().enumerate() {
+            let path = tmp(&format!("header_{i}.sddf"));
+            std::fs::write(&path, case).unwrap();
+            let err = SddfReader::open(&path).err().expect("corrupt header");
+            assert!(matches!(err, Error::Storage(_)), "case {i}: {err}");
+        }
     }
 
     #[test]

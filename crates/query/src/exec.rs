@@ -58,7 +58,9 @@ use scidb_core::value::{ScalarType, Value};
 use scidb_obs::{
     RenderOptions, SlowEntry, SlowLog, Span, Trace, TraceData, EVENT_RETRY, LAYER_QUERY,
 };
-use scidb_storage::{merge_pass, CodecPolicy, MemDisk, MergeStats, ReadOptions, StorageManager};
+use scidb_storage::{
+    merge_pass, CodecPolicy, Disk, MemDisk, MergeStats, ReadOptions, StorageManager,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -607,18 +609,7 @@ impl DbCore {
         if state.arrays.contains_key(name) {
             return Err(Error::AlreadyExists(format!("array '{name}'")));
         }
-        for d in array.schema().dims() {
-            if d.upper.is_none() {
-                return Err(Error::Unsupported(format!(
-                    "on-disk array with unbounded dimension '{}'",
-                    d.name
-                )));
-            }
-        }
-        let schema = Arc::new(array.schema().renamed(name));
-        let mut mgr =
-            StorageManager::new(Arc::new(MemDisk::new()), schema, CodecPolicy::adaptive());
-        mgr.store_array(array)?;
+        let mgr = store_on_disk(Arc::new(MemDisk::new()), name, array)?;
         state
             .arrays
             .insert(name.to_string(), StoredArray::OnDisk(mgr));
@@ -1078,24 +1069,16 @@ impl Prepared {
     }
 }
 
-/// The catalog + executor: the classic owning handle.
+/// The catalog + executor: the classic owning handle. It owns one
+/// [`Session`] and executes through it; what it adds is construction,
+/// `&mut` catalog access, and `run`/`query` that start from a clean trace.
 pub struct Database {
-    core: Arc<DbCore>,
-    ctx: ExecContext,
-    traces: Vec<TraceData>,
-    use_cache: bool,
-    stats: Arc<SessionStats>,
+    session: Session,
 }
 
 impl Default for Database {
     fn default() -> Self {
         Database::new()
-    }
-}
-
-impl Drop for Database {
-    fn drop(&mut self) {
-        self.core.deregister_session(self.stats.id());
     }
 }
 
@@ -1109,14 +1092,8 @@ impl Database {
     /// Creates a database with an explicit thread budget (`1` forces serial
     /// execution, `0` auto-sizes to the machine).
     pub fn with_threads(threads: usize) -> Self {
-        let core = Arc::new(DbCore::new(threads));
-        let stats = core.register_session();
         Database {
-            core,
-            ctx: ExecContext::with_threads(threads),
-            traces: Vec::new(),
-            use_cache: false,
-            stats,
+            session: Session::over(Arc::new(DbCore::new(threads))),
         }
     }
 
@@ -1138,24 +1115,19 @@ impl Database {
         if let Some(d) = &core.durable {
             d.replay(&core, groups)?;
         }
-        let stats = core.register_session();
         Ok(Database {
-            core,
-            ctx: ExecContext::with_threads(threads),
-            traces: Vec::new(),
-            use_cache: false,
-            stats,
+            session: Session::over(core),
         })
     }
 
     /// True if this database persists through a WAL ([`Database::open`]).
     pub fn is_durable(&self) -> bool {
-        self.core.durable.is_some()
+        self.session.core.durable.is_some()
     }
 
     /// The directory a durable database persists under.
     pub fn storage_dir(&self) -> Option<&Path> {
-        self.core.durable.as_ref().map(|d| d.dir())
+        self.session.core.durable.as_ref().map(|d| d.dir())
     }
 
     /// Runs one super-tile merge pass (factor × the chunk stride) over a
@@ -1163,25 +1135,25 @@ impl Database {
     /// database the pass commits as a WAL group and is re-run (and
     /// byte-verified) on recovery.
     pub fn merge_on_disk(&mut self, name: &str, factor: i64) -> Result<MergeStats> {
-        self.core.merge_on_disk(name, factor)
+        self.session.core.merge_on_disk(name, factor)
     }
 
     /// This handle's live execution counters (its `system.sessions` row).
     pub fn session_stats(&self) -> Arc<SessionStats> {
-        Arc::clone(&self.stats)
+        self.session.session_stats()
     }
 
     /// A cheaply cloneable handle to the same catalog, registry, and
     /// slow-query log — the entry point for serving layers.
     pub fn share(&self) -> SharedDatabase {
         SharedDatabase {
-            core: Arc::clone(&self.core),
+            core: Arc::clone(&self.session.core),
         }
     }
 
     /// The execution context statements run under.
     pub fn exec_context(&self) -> &ExecContext {
-        &self.ctx
+        self.session.ctx()
     }
 
     /// Replaces the thread budget. Traces and metrics accumulated so far
@@ -1189,55 +1161,55 @@ impl Database {
     /// valid), as is the slow-query log; sessions opened later inherit
     /// the new budget.
     pub fn set_threads(&mut self, threads: usize) {
-        self.core.threads.store(threads, Ordering::SeqCst);
-        self.ctx = ExecContext::with_threads(threads);
+        self.session.core.threads.store(threads, Ordering::SeqCst);
+        self.session.ctx = ExecContext::with_threads(threads);
     }
 
     /// Enables or disables the canonical-key result cache for query
     /// statements executed through this handle (disabled by default; the
     /// serving layer turns it on per session).
     pub fn set_result_cache(&mut self, enabled: bool) {
-        self.use_cache = enabled;
+        self.session.set_result_cache(enabled);
     }
 
     /// Per-operator metrics for the statements executed since the last
     /// [`run`](Self::run)/[`query`](Self::query) began — a thin view
     /// derived from the retained [`traces`](Self::traces).
     pub fn metrics(&self) -> QueryMetrics {
-        QueryMetrics::from_traces(self.traces.iter())
+        self.session.metrics()
     }
 
     /// Traces of the statements executed since the last
     /// [`run`](Self::run)/[`query`](Self::query) began, in execution order.
     pub fn traces(&self) -> &[TraceData] {
-        &self.traces
+        self.session.traces()
     }
 
     /// The trace of the most recently executed statement, if any.
     pub fn last_trace(&self) -> Option<&TraceData> {
-        self.traces.last()
+        self.session.last_trace()
     }
 
     /// The slow-query log (process-lifetime: survives `run`/`query`
     /// resets, shared with every handle to this database).
     pub fn slow_log(&self) -> SlowLogRef<'_> {
-        self.core.slow_log.read()
+        self.session.core.slow_log.read()
     }
 
     /// Mutable slow-query log access (reconfigure threshold/capacity).
     pub fn slow_log_mut(&mut self) -> SlowLogRefMut<'_> {
-        self.core.slow_log.write()
+        self.session.core.slow_log.write()
     }
 
     /// Retained slow-query entries, oldest first.
     pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.core.slow_log.read().entries().to_vec()
+        self.session.core.slow_log.read().entries().to_vec()
     }
 
     /// Statements with wall time at or above `threshold` are retained in
     /// the slow-query log.
     pub fn set_slow_query_threshold(&mut self, threshold: Duration) {
-        self.core.slow_log.write().set_threshold(threshold);
+        self.session.core.slow_log.write().set_threshold(threshold);
     }
 
     /// Opens an owning [`Session`] over the same shared core. The session
@@ -1246,38 +1218,37 @@ impl Database {
     /// resetting them per call. This handle's own accumulated
     /// traces/metrics are reset, as before the serving-layer redesign.
     pub fn session(&mut self) -> Session {
-        self.ctx.take_metrics();
-        self.traces.clear();
-        Session::over(Arc::clone(&self.core))
+        self.session.reset();
+        Session::over(Arc::clone(&self.session.core))
     }
 
     /// The function registry (register UDFs, aggregates, enhancements,
     /// shapes here — §2.3).
     pub fn registry(&self) -> RegistryRef<'_> {
-        OrderedRwLockReadGuard::map(self.core.state.read(), |s| &s.registry)
+        OrderedRwLockReadGuard::map(self.session.core.state.read(), |s| &s.registry)
     }
 
     /// Mutable registry access.
     pub fn registry_mut(&mut self) -> RegistryRefMut<'_> {
-        self.core.touch();
-        OrderedRwLockWriteGuard::map(self.core.state.write(), |s| &mut s.registry)
+        self.session.core.touch();
+        OrderedRwLockWriteGuard::map(self.session.core.state.write(), |s| &mut s.registry)
     }
 
     /// Looks up a stored array (shared read access; release the guard
     /// before executing further statements).
     pub fn array(&self, name: &str) -> Result<ArrayRef<'_>> {
-        self.core.array_guard(name)
+        self.session.core.array_guard(name)
     }
 
     /// Mutable access to a stored array.
     pub fn array_mut(&mut self, name: &str) -> Result<ArrayRefMut<'_>> {
-        self.core.array_guard_mut(name)
+        self.session.core.array_guard_mut(name)
     }
 
     /// Registers an existing array under a name (bulk-load path used by
     /// examples and benches).
     pub fn put_array(&mut self, name: &str, array: Array) -> Result<()> {
-        self.core.put_array(name, array)
+        self.session.core.put_array(name, array)
     }
 
     /// Registers an array as a disk-backed instance: its chunks are
@@ -1286,52 +1257,44 @@ impl Database {
     /// [`StorageManager::read_region_traced`], nesting storage spans under
     /// the query's trace. All dimensions must be bounded.
     pub fn put_array_on_disk(&mut self, name: &str, array: &Array) -> Result<()> {
-        self.core.put_array_on_disk(name, array)
+        self.session.core.put_array_on_disk(name, array)
     }
 
     /// Array names in the catalog (sorted).
     pub fn array_names(&self) -> Vec<String> {
-        self.core.array_names()
+        self.session.core.array_names()
     }
 
     /// Parses, plans, and executes a script; returns one result per
     /// statement. Resets [`traces`](Self::traces)/[`metrics`](Self::metrics)
     /// first.
     pub fn run(&mut self, text: &str) -> Result<Vec<StmtResult>> {
-        self.ctx.take_metrics();
-        self.traces.clear();
-        let stmts = parser::parse(text)?;
-        stmts.into_iter().map(|s| self.execute(s)).collect()
+        self.session.reset();
+        self.session.run(text)
     }
 
     /// Runs a single-statement query expecting an array result. Resets
     /// [`traces`](Self::traces)/[`metrics`](Self::metrics) first.
     pub fn query(&mut self, text: &str) -> Result<Array> {
-        self.ctx.take_metrics();
-        self.traces.clear();
-        let stmt = parser::parse_one(text)?;
-        self.execute(stmt)?.into_array()
+        self.session.reset();
+        self.session.query(text)
     }
 
     /// Executes one parsed statement under a fresh trace.
     pub fn execute(&mut self, stmt: Stmt) -> Result<StmtResult> {
-        let (result, trace) = self
-            .core
-            .execute_stmt(stmt, &self.ctx, self.use_cache, &self.stats);
-        self.traces.push(trace);
-        result
+        self.session.execute(stmt)
     }
 
     /// Parses a single statement into a reusable [`Prepared`] handle
     /// carrying the canonical cache key.
     pub fn prepare(&self, text: &str) -> Result<Prepared> {
-        Ok(Prepared::from_stmt(parser::parse_one(text)?))
+        self.session.prepare(text)
     }
 
     /// Executes a prepared statement (without resetting traces), skipping
     /// the parser.
     pub fn execute_prepared(&mut self, prepared: &Prepared) -> Result<StmtResult> {
-        self.execute(prepared.stmt.clone())
+        self.session.execute_prepared(prepared)
     }
 
     /// Installs a wall-clock enhancement helper (convenience for §2.5
@@ -1401,6 +1364,21 @@ impl SharedDatabase {
     pub fn set_slow_query_threshold(&self, threshold: Duration) {
         self.core.slow_log.write().set_threshold(threshold);
     }
+}
+
+/// Loads `array` into a fresh storage manager over `disk` as catalog entry
+/// `name` (adaptive codecs). All dimensions must be bounded.
+fn store_on_disk(disk: Arc<dyn Disk>, name: &str, array: &Array) -> Result<StorageManager> {
+    if let Some(d) = array.schema().dims().iter().find(|d| d.is_unbounded()) {
+        return Err(Error::Unsupported(format!(
+            "on-disk array with unbounded dimension '{}'",
+            d.name
+        )));
+    }
+    let schema = Arc::new(array.schema().renamed(name));
+    let mut mgr = StorageManager::new(disk, schema, CodecPolicy::adaptive());
+    mgr.store_array(array)?;
+    Ok(mgr)
 }
 
 /// The full (1-based) stored domain of a disk-backed schema; errors on
@@ -1524,10 +1502,14 @@ impl Session {
 
     /// Drains the session's retained traces, returning the metrics view.
     pub fn take_metrics(&mut self) -> QueryMetrics {
-        let m = QueryMetrics::from_traces(self.traces.iter());
+        let m = self.metrics();
+        self.reset();
+        m
+    }
+
+    fn reset(&mut self) {
         self.traces.clear();
         self.ctx.take_metrics();
-        m
     }
 }
 
@@ -2231,6 +2213,43 @@ mod tests {
         assert_eq!(before, after, "reopen must replay to identical state");
         // The replayed database accepts further writes.
         db.run("insert into A[1, 2] values (9)").unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `grp.n` of the benchmark: 38 cells in 2 runs. The adaptive policy
+    /// picks RLE for both columns (19 bytes for 38 elements), a bucket the
+    /// reader used to reject as "count exceeds payload".
+    #[test]
+    fn long_run_columns_survive_adaptive_buckets_and_durable_reopen() {
+        let schema = scidb_core::schema::SchemaBuilder::new("runs")
+            .attr("n", ScalarType::Int64)
+            .attr("f", ScalarType::Float64)
+            .dim_chunked("g", 38, 38)
+            .build()
+            .unwrap();
+        let mut a = Array::new(schema);
+        a.fill_with(|c| {
+            let run = i64::from(c[0] > 19);
+            vec![Value::from(100 + run), Value::from(0.5 + run as f64)]
+        })
+        .unwrap();
+        let chunk = a.chunks().values().next().unwrap();
+        let bucket = scidb_storage::serialize_chunk(chunk, CodecPolicy::adaptive()).unwrap();
+        assert!(
+            bucket.len() < 38 * 8,
+            "runs must compress: {}",
+            bucket.len()
+        );
+        assert_eq!(&scidb_storage::deserialize_chunk(&bucket).unwrap(), chunk);
+
+        let dir = durable_dir("runs");
+        {
+            let mut db = Database::open(&dir).unwrap();
+            db.put_array_on_disk("R", &a).unwrap();
+            assert_eq!(canon(&db.query("scan(R)").unwrap()), canon(&a));
+        }
+        let mut db = Database::open(&dir).unwrap();
+        assert_eq!(canon(&db.query("scan(R)").unwrap()), canon(&a));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,7 +21,7 @@
 //! lands at the logged block id). A mismatch is a replay divergence and
 //! fails the open, never silently corrupts.
 
-use super::{apply_write, system, DbCore, StoredArray};
+use super::{apply_write, store_on_disk, system, DbCore, StoredArray};
 use crate::ast::Stmt;
 use crate::parser;
 use scidb_core::array::Array;
@@ -31,9 +31,7 @@ use scidb_core::sync::{ranks, OrderedMutex};
 use scidb_obs::{Stopwatch, Trace, LAYER_QUERY};
 use scidb_storage::pool::PoolStats;
 use scidb_storage::wal::{self, Record, Wal};
-use scidb_storage::{
-    merge_pass, CodecPolicy, DeltaStore, Disk, MergeStats, PagedDisk, StorageManager,
-};
+use scidb_storage::{merge_pass, CodecPolicy, DeltaStore, Disk, MergeStats, PagedDisk};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,13 +154,7 @@ impl Durability {
                     }
                     Record::PutArrayOnDisk { name, bytes } => {
                         let array = wal::decode_array(&bytes)?;
-                        let schema = Arc::new(array.schema().renamed(&name));
-                        let mut mgr = StorageManager::new(
-                            Arc::clone(&self.disk) as Arc<dyn Disk>,
-                            schema,
-                            CodecPolicy::adaptive(),
-                        );
-                        mgr.store_array(&array)?;
+                        let mgr = store_on_disk(self.disk.clone(), &name, &array)?;
                         core.state
                             .write()
                             .arrays
@@ -304,29 +296,14 @@ impl Durability {
     /// lock briefly.
     pub(super) fn put_array_on_disk(&self, core: &DbCore, name: &str, array: &Array) -> Result<()> {
         system::reject_reserved(name)?;
-        for d in array.schema().dims() {
-            if d.upper.is_none() {
-                return Err(Error::Unsupported(format!(
-                    "on-disk array with unbounded dimension '{}'",
-                    d.name
-                )));
-            }
-        }
         let mut ws = self.op.lock();
         debug_assert!(self.disk.take_journal().is_empty());
         if core.state.read().arrays.contains_key(name) {
             return Err(Error::AlreadyExists(format!("array '{name}'")));
         }
-        let schema = Arc::new(array.schema().renamed(name));
-        let mut mgr = StorageManager::new(
-            Arc::clone(&self.disk) as Arc<dyn Disk>,
-            schema,
-            CodecPolicy::adaptive(),
-        );
-        if let Err(e) = mgr.store_array(array) {
+        let mgr = store_on_disk(self.disk.clone(), name, array).inspect_err(|_| {
             let _ = self.disk.take_journal();
-            return Err(e);
-        }
+        })?;
         let op = ws.next_op;
         ws.next_op += 1;
         let mut group = vec![Record::Begin { op }];

@@ -1,4 +1,4 @@
-//! Request/response messages and the bit-exact array codec.
+//! Request/response messages.
 //!
 //! Message type bytes: requests are `0x01..=0x0a`, responses `0x81..=0x8a`.
 //! Error frames carry the stable numeric [`ErrorCode`](scidb_core::ErrorCode)
@@ -14,23 +14,15 @@
 //! post-handshake response; the trailer is itself versioned and
 //! length-prefixed so unknown future fields skip cleanly (DESIGN.md §14).
 //!
-//! The array codec serializes the full schema (attributes, nested attribute
-//! schemas, dimensions, updatability) and every present cell. Floats travel
-//! as IEEE-754 bit patterns, so a decoded array is bit-identical to the
-//! encoded one — the property the conformance harness's remote backend
-//! asserts. Runtime-only state (enhancements, shape functions) does not
-//! cross the wire.
+//! Arrays cross the wire as the shared array image
+//! ([`scidb_core::codec`]): the full schema and every present cell,
+//! bit-exactly — the property the conformance harness's remote backend
+//! asserts.
 
 use crate::wire::{self, Reader};
 use scidb_core::array::Array;
+use scidb_core::codec;
 use scidb_core::error::{Error, Result};
-use scidb_core::schema::{ArraySchema, AttrType, AttributeDef, DimensionDef};
-use scidb_core::uncertain::Uncertain;
-use scidb_core::value::{Scalar, ScalarType, Value};
-
-/// Maximum nesting depth the array decoder accepts (nested attribute
-/// schemas and nested-array cell values).
-const MAX_NESTING: usize = 8;
 
 /// Highest wire-protocol version this build speaks. Version 0 is the
 /// PR 6 format (no trailers); version 1 adds the [`QueryStats`] response
@@ -401,9 +393,10 @@ impl Response {
         buf
     }
 
-    /// Decodes a response frame.
+    /// Decodes a response frame that carries no trailer; bytes after the
+    /// body are an error.
     pub fn decode(msg_type: u8, payload: &[u8]) -> Result<Response> {
-        Response::decode_from(msg_type, &mut Reader::new(payload))
+        codec::decode_all(payload, |r| Response::decode_from(msg_type, r))
     }
 
     /// Decodes a response body from an open reader, leaving any trailing
@@ -460,207 +453,22 @@ impl Response {
     }
 }
 
-// ---- array codec --------------------------------------------------------
-
-fn encode_scalar_type(buf: &mut Vec<u8>, ty: ScalarType) {
-    let tag = match ty {
-        ScalarType::Int64 => 1u8,
-        ScalarType::Float64 => 2,
-        ScalarType::Bool => 3,
-        ScalarType::String => 4,
-        ScalarType::UncertainFloat64 => 5,
-    };
-    wire::put_u8(buf, tag);
-}
-
-fn decode_scalar_type(r: &mut Reader<'_>) -> Result<ScalarType> {
-    match r.u8()? {
-        1 => Ok(ScalarType::Int64),
-        2 => Ok(ScalarType::Float64),
-        3 => Ok(ScalarType::Bool),
-        4 => Ok(ScalarType::String),
-        5 => Ok(ScalarType::UncertainFloat64),
-        other => Err(Error::protocol(format!("unknown scalar type tag {other}"))),
-    }
-}
-
-fn encode_schema(buf: &mut Vec<u8>, schema: &ArraySchema) {
-    wire::put_str(buf, schema.name());
-    wire::put_u8(buf, u8::from(schema.is_updatable()));
-    wire::put_u32(buf, schema.attrs().len() as u32);
-    for a in schema.attrs() {
-        wire::put_str(buf, &a.name);
-        wire::put_u8(buf, u8::from(a.nullable));
-        match &a.ty {
-            AttrType::Scalar(ty) => {
-                wire::put_u8(buf, 0);
-                encode_scalar_type(buf, *ty);
-            }
-            AttrType::Nested(inner) => {
-                wire::put_u8(buf, 1);
-                encode_schema(buf, inner);
-            }
-        }
-    }
-    wire::put_u32(buf, schema.dims().len() as u32);
-    for d in schema.dims() {
-        wire::put_str(buf, &d.name);
-        // 0 encodes unbounded (`*`); real bounds are always >= 1.
-        wire::put_i64(buf, d.upper.unwrap_or(0));
-        wire::put_i64(buf, d.chunk_len);
-    }
-}
-
-fn decode_schema(r: &mut Reader<'_>, depth: usize) -> Result<ArraySchema> {
-    if depth > MAX_NESTING {
-        return Err(Error::protocol(format!(
-            "schema nesting exceeds the {MAX_NESTING}-level limit"
-        )));
-    }
-    let name = r.str()?;
-    let updatable = r.u8()? != 0;
-    let n_attrs = r.u32()?;
-    let mut attrs = Vec::new();
-    for _ in 0..n_attrs {
-        let aname = r.str()?;
-        let nullable = r.u8()? != 0;
-        let mut def = match r.u8()? {
-            0 => AttributeDef::scalar(aname, decode_scalar_type(r)?),
-            1 => AttributeDef::nested(aname, std::sync::Arc::new(decode_schema(r, depth + 1)?)),
-            other => {
-                return Err(Error::protocol(format!(
-                    "unknown attribute type tag {other}"
-                )))
-            }
-        };
-        def.nullable = nullable;
-        attrs.push(def);
-    }
-    let n_dims = r.u32()?;
-    let mut dims = Vec::new();
-    for _ in 0..n_dims {
-        let dname = r.str()?;
-        let upper = r.i64()?;
-        let chunk = r.i64()?;
-        let mut def = if upper == 0 {
-            DimensionDef::unbounded(dname)
-        } else {
-            DimensionDef::bounded(dname, upper)
-        };
-        def = def.with_chunk(chunk);
-        dims.push(def);
-    }
-    let schema = ArraySchema::new(name, attrs, dims)?;
-    if updatable {
-        // The history dimension is already present in the encoded dims,
-        // so this only restores the flag.
-        schema.updatable()
-    } else {
-        Ok(schema)
-    }
-}
-
-fn encode_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => wire::put_u8(buf, 0),
-        Value::Scalar(Scalar::Int64(i)) => {
-            wire::put_u8(buf, 1);
-            wire::put_i64(buf, *i);
-        }
-        Value::Scalar(Scalar::Float64(f)) => {
-            wire::put_u8(buf, 2);
-            wire::put_f64(buf, *f);
-        }
-        Value::Scalar(Scalar::Bool(b)) => {
-            wire::put_u8(buf, 3);
-            wire::put_u8(buf, u8::from(*b));
-        }
-        Value::Scalar(Scalar::String(s)) => {
-            wire::put_u8(buf, 4);
-            wire::put_str(buf, s);
-        }
-        Value::Scalar(Scalar::Uncertain(u)) => {
-            wire::put_u8(buf, 5);
-            wire::put_f64(buf, u.mean);
-            wire::put_f64(buf, u.sigma);
-        }
-        Value::Array(a) => {
-            wire::put_u8(buf, 6);
-            encode_array(buf, a);
-        }
-    }
-}
-
-fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
-    let v = match r.u8()? {
-        0 => Value::Null,
-        1 => Value::from(r.i64()?),
-        2 => Value::from(r.f64()?),
-        3 => Value::from(r.u8()? != 0),
-        4 => Value::from(r.str()?),
-        5 => {
-            let mean = r.f64()?;
-            let sigma = r.f64()?;
-            Value::from(Uncertain::new(mean, sigma))
-        }
-        6 => {
-            if depth > MAX_NESTING {
-                return Err(Error::protocol(format!(
-                    "value nesting exceeds the {MAX_NESTING}-level limit"
-                )));
-            }
-            Value::Array(Box::new(decode_array_at(r, depth + 1)?))
-        }
-        other => Err(Error::protocol(format!("unknown value tag {other}")))?,
-    };
-    Ok(v)
-}
-
-/// Appends an array (schema + every present cell) to `buf`.
+/// Appends an array image (schema + every present cell) to `buf`.
 pub fn encode_array(buf: &mut Vec<u8>, array: &Array) {
-    encode_schema(buf, array.schema());
-    let cells: Vec<_> = array.cells().collect();
-    wire::put_u64(buf, cells.len() as u64);
-    for (coords, record) in cells {
-        for c in &coords {
-            wire::put_i64(buf, *c);
-        }
-        wire::put_u32(buf, record.len() as u32);
-        for v in &record {
-            encode_value(buf, v);
-        }
-    }
+    codec::encode_array(buf, array);
 }
 
-/// Decodes an array previously written by [`encode_array`].
+/// Decodes an array image previously written by [`encode_array`].
 pub fn decode_array(r: &mut Reader<'_>) -> Result<Array> {
-    decode_array_at(r, 0)
-}
-
-fn decode_array_at(r: &mut Reader<'_>, depth: usize) -> Result<Array> {
-    let schema = decode_schema(r, depth)?;
-    let rank = schema.rank();
-    let mut array = Array::new(schema);
-    let n_cells = r.u64()?;
-    for _ in 0..n_cells {
-        let mut coords = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            coords.push(r.i64()?);
-        }
-        let n_vals = r.u32()? as usize;
-        let mut record = Vec::with_capacity(n_vals);
-        for _ in 0..n_vals {
-            record.push(decode_value(r, depth)?);
-        }
-        array.set_cell(&coords, record)?;
-    }
-    Ok(array)
+    codec::decode_array(r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scidb_core::schema::SchemaBuilder;
+    use scidb_core::uncertain::Uncertain;
+    use scidb_core::value::{ScalarType, Value};
     use std::sync::Arc;
 
     fn sample_array() -> Array {

@@ -102,7 +102,7 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         // The serving front end owns its accept thread; statement
         // execution still flows through ExecContext.
-        // lint: allow(concurrency) — the front end must own the accept thread
+        // analyze: allow(R3, the front end must own the accept thread)
         let accept_handle = std::thread::spawn(move || accept_loop(listener, accept_shared));
         Ok(Server {
             addr,
@@ -151,7 +151,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let conn_shared = Arc::clone(&shared);
                 // One front-end thread per connection; the engine work
                 // is ExecContext-managed.
-                // lint: allow(concurrency) — session-per-connection front end
+                // analyze: allow(R3, session-per-connection front end)
                 std::thread::spawn(move || handle_connection(stream, conn_shared));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {

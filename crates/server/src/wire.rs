@@ -1,4 +1,4 @@
-//! The framed wire format and primitive codec.
+//! The framed wire format.
 //!
 //! Every message is one frame:
 //!
@@ -90,121 +90,9 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>> {
     }))
 }
 
-// ---- primitive payload codec -------------------------------------------
-
-/// Appends a `u8`.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-/// Appends a big-endian `u16`.
-pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Appends a big-endian `u32`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Appends a big-endian `u64`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Appends a big-endian `i64`.
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
-
-/// Appends an `f64` as its IEEE-754 bit pattern (bit-exact, NaN included).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    put_u64(buf, v.to_bits());
-}
-
-/// Appends a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked payload reader; truncation is a protocol error.
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// Starts reading `buf` from the beginning.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// True once the whole payload is consumed.
-    pub fn is_empty(&self) -> bool {
-        self.pos >= self.buf.len()
-    }
-
-    /// Reads `n` raw bytes.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(Error::protocol(format!(
-                "payload truncated: wanted {n} bytes at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            ))),
-        }
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_be_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Reads a big-endian `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| Error::protocol("string payload is not valid UTF-8"))
-    }
-}
+/// The payload primitives and bounds-checked reader, shared with every
+/// other encoder of the array image.
+pub use scidb_core::codec::{put_f64, put_i64, put_str, put_u16, put_u32, put_u64, put_u8, Reader};
 
 #[cfg(test)]
 mod tests {
@@ -250,29 +138,5 @@ mod tests {
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         let mut cursor = &buf[..];
         assert!(read_frame(&mut cursor).is_err());
-    }
-
-    #[test]
-    fn primitives_round_trip_bit_exactly() {
-        let mut buf = Vec::new();
-        put_u8(&mut buf, 9);
-        put_u16(&mut buf, 999);
-        put_u32(&mut buf, 70_000);
-        put_u64(&mut buf, u64::MAX - 1);
-        put_i64(&mut buf, -42);
-        put_f64(&mut buf, -0.0);
-        put_f64(&mut buf, f64::NAN);
-        put_str(&mut buf, "héllo");
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 9);
-        assert_eq!(r.u16().unwrap(), 999);
-        assert_eq!(r.u32().unwrap(), 70_000);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.str().unwrap(), "héllo");
-        assert!(r.is_empty());
-        assert!(r.u8().is_err());
     }
 }

@@ -143,15 +143,17 @@ pub fn encode_i64s(vals: &[i64], codec: Codec) -> Result<Vec<u8>> {
 pub fn decode_i64s(data: &[u8], codec: Codec) -> Result<Vec<i64>> {
     let mut pos = 0usize;
     let n = get_varint(data, &mut pos)? as usize;
-    // A corrupted count must not drive allocation: every element needs at
-    // least one input byte, so a count beyond the payload is corruption.
-    if n > data.len() {
+    // A corrupted count must not drive allocation. Outside RLE every
+    // element needs at least one input byte, so a count beyond the payload
+    // is corruption; an RLE run holds any number of elements in nine bytes,
+    // so there only the reservation is bounded and the runs grow it.
+    if codec != Codec::Rle && n > data.len() {
         return Err(Error::storage(format!(
             "column count {n} exceeds payload of {} bytes",
             data.len()
         )));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(n.min(data.len()));
     match codec {
         Codec::Raw => {
             for _ in 0..n {
@@ -162,7 +164,7 @@ pub fn decode_i64s(data: &[u8], codec: Codec) -> Result<Vec<i64>> {
             while out.len() < n {
                 let run = get_varint(data, &mut pos)? as usize;
                 let v = read_i64(data, &mut pos)?;
-                if out.len() + run > n {
+                if run > n - out.len() {
                     return Err(Error::storage("RLE run overflows column"));
                 }
                 out.extend(std::iter::repeat_n(v, run));

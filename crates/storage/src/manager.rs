@@ -241,7 +241,7 @@ impl StorageManager {
         let start = Stopwatch::start();
         self.check_region(region)?;
         let keys = self.buckets_in(region);
-        // lint: allow(kernel) — bucket I/O fan-out, not an operator kernel; merged serially in bucket-key order below
+        // analyze: allow(R2, bucket I/O fan-out, not an operator kernel; merged serially in bucket-key order below)
         let decoded = par_map_threads(opts.resolved_threads(), &keys, |&key| {
             let t = Stopwatch::start();
             let chunk = self.read_bucket(key)?;

@@ -17,10 +17,8 @@
 
 use crate::page::crc32;
 use scidb_core::array::Array;
+use scidb_core::codec::{self, put_bytes, put_i64, put_str, put_u64};
 use scidb_core::error::{Error, Result};
-use scidb_core::schema::{ArraySchema, AttrType, AttributeDef, DimensionDef};
-use scidb_core::uncertain::Uncertain;
-use scidb_core::value::{Record as CellRecord, Scalar, ScalarType, Value};
 use scidb_obs::Stopwatch;
 use std::fs::OpenOptions;
 use std::os::unix::fs::FileExt;
@@ -94,87 +92,10 @@ pub enum Record {
     },
 }
 
-// ---------------------------------------------------------------- codec --
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Decodes a little-endian `u64` from the first 8 bytes of `b` (which the
-/// caller has already bounds-checked).
-fn read_le64(b: &[u8]) -> u64 {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(w)
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(Error::storage("wal record truncated"));
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(crate::page::read_le32(self.take(4)?))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(read_le64(self.take(8)?))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(read_le64(self.take(8)?) as i64)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?).map_err(|_| Error::storage("wal record: bad utf-8"))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(Error::storage("wal record has trailing bytes"));
-        }
-        Ok(())
-    }
+/// The shared codec reports every bad image as a protocol error; in a log
+/// record the same defect is storage corruption.
+fn corrupt(e: Error) -> Error {
+    Error::storage(format!("wal record: {}", e.wire_message()))
 }
 
 impl Record {
@@ -229,22 +150,25 @@ impl Record {
 
     /// Deserializes one record payload.
     pub fn decode(buf: &[u8]) -> Result<Record> {
-        let mut r = Reader::new(buf);
-        let rec = match r.u8()? {
+        codec::decode_all(buf, Record::decode_from).map_err(corrupt)
+    }
+
+    fn decode_from(r: &mut codec::Reader<'_>) -> Result<Record> {
+        Ok(match r.u8()? {
             0 => Record::Begin { op: r.u64()? },
             1 => Record::Commit { op: r.u64()? },
             2 => Record::Stmt { aql: r.str()? },
             3 => Record::PutArray {
                 name: r.str()?,
-                bytes: r.bytes()?,
+                bytes: r.bytes()?.to_vec(),
             },
             4 => Record::PutArrayOnDisk {
                 name: r.str()?,
-                bytes: r.bytes()?,
+                bytes: r.bytes()?.to_vec(),
             },
             5 => Record::BucketWrite {
                 block: r.u64()?,
-                bytes: r.bytes()?,
+                bytes: r.bytes()?.to_vec(),
             },
             6 => Record::BucketFree { block: r.u64()? },
             7 => Record::DeltaAppend {
@@ -255,10 +179,8 @@ impl Record {
                 array: r.str()?,
                 factor: r.i64()?,
             },
-            t => return Err(Error::storage(format!("wal record: unknown tag {t}"))),
-        };
-        r.done()?;
-        Ok(rec)
+            t => return Err(Error::protocol(format!("unknown tag {t}"))),
+        })
     }
 
     /// Short variant name, for diagnostics and coverage accounting.
@@ -277,197 +199,18 @@ impl Record {
     }
 }
 
-// ---------------------------------------------------------- array codec --
-
-fn encode_scalar_type(b: &mut Vec<u8>, t: ScalarType) {
-    b.push(match t {
-        ScalarType::Int64 => 0,
-        ScalarType::Float64 => 1,
-        ScalarType::Bool => 2,
-        ScalarType::String => 3,
-        ScalarType::UncertainFloat64 => 4,
-    });
-}
-
-fn decode_scalar_type(r: &mut Reader<'_>) -> Result<ScalarType> {
-    Ok(match r.u8()? {
-        0 => ScalarType::Int64,
-        1 => ScalarType::Float64,
-        2 => ScalarType::Bool,
-        3 => ScalarType::String,
-        4 => ScalarType::UncertainFloat64,
-        t => return Err(Error::storage(format!("wal array: unknown scalar tag {t}"))),
-    })
-}
-
-fn encode_schema(b: &mut Vec<u8>, s: &ArraySchema) {
-    put_str(b, s.name());
-    put_u32(b, s.attrs().len() as u32);
-    for a in s.attrs() {
-        put_str(b, &a.name);
-        b.push(a.nullable as u8);
-        match &a.ty {
-            AttrType::Scalar(t) => {
-                b.push(0);
-                encode_scalar_type(b, *t);
-            }
-            AttrType::Nested(inner) => {
-                b.push(1);
-                encode_schema(b, inner);
-            }
-        }
-    }
-    put_u32(b, s.dims().len() as u32);
-    for d in s.dims() {
-        put_str(b, &d.name);
-        match d.upper {
-            Some(u) => {
-                b.push(1);
-                put_i64(b, u);
-            }
-            None => b.push(0),
-        }
-        put_i64(b, d.chunk_len);
-    }
-    b.push(s.is_updatable() as u8);
-}
-
-fn decode_schema(r: &mut Reader<'_>) -> Result<ArraySchema> {
-    let name = r.str()?;
-    let nattrs = r.u32()? as usize;
-    let mut attrs = Vec::with_capacity(nattrs);
-    for _ in 0..nattrs {
-        let aname = r.str()?;
-        let nullable = r.u8()? != 0;
-        let ty = match r.u8()? {
-            0 => AttrType::Scalar(decode_scalar_type(r)?),
-            1 => AttrType::Nested(std::sync::Arc::new(decode_schema(r)?)),
-            t => return Err(Error::storage(format!("wal array: unknown attr tag {t}"))),
-        };
-        attrs.push(AttributeDef {
-            name: aname,
-            ty,
-            nullable,
-        });
-    }
-    let ndims = r.u32()? as usize;
-    let mut dims = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let dname = r.str()?;
-        let upper = if r.u8()? != 0 { Some(r.i64()?) } else { None };
-        let chunk_len = r.i64()?;
-        dims.push(DimensionDef {
-            name: dname,
-            upper,
-            chunk_len,
-        });
-    }
-    let updatable = r.u8()? != 0;
-    let schema = ArraySchema::new(&name, attrs, dims)?;
-    if updatable {
-        schema.updatable()
-    } else {
-        Ok(schema)
-    }
-}
-
-fn encode_value(b: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => b.push(0),
-        Value::Scalar(Scalar::Int64(i)) => {
-            b.push(1);
-            put_i64(b, *i);
-        }
-        Value::Scalar(Scalar::Float64(f)) => {
-            b.push(2);
-            put_u64(b, f.to_bits());
-        }
-        Value::Scalar(Scalar::Bool(x)) => {
-            b.push(3);
-            b.push(*x as u8);
-        }
-        Value::Scalar(Scalar::String(s)) => {
-            b.push(4);
-            put_str(b, s);
-        }
-        Value::Scalar(Scalar::Uncertain(u)) => {
-            b.push(5);
-            put_u64(b, u.mean.to_bits());
-            put_u64(b, u.sigma.to_bits());
-        }
-        Value::Array(a) => {
-            b.push(6);
-            encode_array_into(b, a);
-        }
-    }
-}
-
-fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Scalar(Scalar::Int64(r.i64()?)),
-        2 => Value::Scalar(Scalar::Float64(f64::from_bits(r.u64()?))),
-        3 => Value::Scalar(Scalar::Bool(r.u8()? != 0)),
-        4 => Value::Scalar(Scalar::String(r.str()?)),
-        5 => Value::Scalar(Scalar::Uncertain(Uncertain::new(
-            f64::from_bits(r.u64()?),
-            f64::from_bits(r.u64()?),
-        ))),
-        6 => Value::Array(Box::new(decode_array_from(r)?)),
-        t => return Err(Error::storage(format!("wal array: unknown value tag {t}"))),
-    })
-}
-
-fn encode_array_into(b: &mut Vec<u8>, a: &Array) {
-    encode_schema(b, a.schema());
-    let cells: Vec<(Vec<i64>, CellRecord)> = a.cells().collect();
-    put_u64(b, cells.len() as u64);
-    for (coords, rec) in cells {
-        for c in &coords {
-            put_i64(b, *c);
-        }
-        put_u32(b, rec.len() as u32);
-        for v in &rec {
-            encode_value(b, v);
-        }
-    }
-}
-
-fn decode_array_from(r: &mut Reader<'_>) -> Result<Array> {
-    let schema = decode_schema(r)?;
-    let rank = schema.dims().len();
-    let mut a = Array::new(schema);
-    let n = r.u64()?;
-    for _ in 0..n {
-        let mut coords = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            coords.push(r.i64()?);
-        }
-        let nvals = r.u32()? as usize;
-        let mut rec = Vec::with_capacity(nvals);
-        for _ in 0..nvals {
-            rec.push(decode_value(r)?);
-        }
-        a.set_cell(&coords, rec)?;
-    }
-    Ok(a)
-}
-
-/// Serializes a whole array — schema (with nullability, nesting, chunk
-/// sizes, updatability) plus every cell in deterministic chunk order —
-/// for [`Record::PutArray`] / [`Record::PutArrayOnDisk`].
+/// Serializes a whole array — the shared array image
+/// ([`scidb_core::codec`]) — for [`Record::PutArray`] /
+/// [`Record::PutArrayOnDisk`].
 pub fn encode_array(a: &Array) -> Vec<u8> {
     let mut b = Vec::new();
-    encode_array_into(&mut b, a);
+    codec::encode_array(&mut b, a);
     b
 }
 
 /// Deserializes an array image written by [`encode_array`].
 pub fn decode_array(buf: &[u8]) -> Result<Array> {
-    let mut r = Reader::new(buf);
-    let a = decode_array_from(&mut r)?;
-    r.done()?;
-    Ok(a)
+    codec::decode_all(buf, codec::decode_array).map_err(corrupt)
 }
 
 // ------------------------------------------------------------- appender --
@@ -507,42 +250,26 @@ impl Wal {
 
         let mut groups = Vec::new();
         let mut current: Vec<Record> = Vec::new();
-        let mut pos = 0usize;
-        let mut committed_end = 0usize;
-        while pos + FRAME_HEADER <= raw.len() {
-            let len = crate::page::read_le32(&raw[pos..pos + 4]) as usize;
-            let crc = crate::page::read_le32(&raw[pos + 4..pos + 8]);
-            let start = pos + FRAME_HEADER;
-            if start + len > raw.len() {
-                break; // torn: frame runs past end of file
-            }
-            let payload = &raw[start..start + len];
-            if crc32(payload) != crc {
-                break; // torn: checksum mismatch
-            }
-            let rec = match Record::decode(payload) {
-                Ok(r) => r,
-                Err(_) => break, // torn: undecodable payload
-            };
-            pos = start + len;
+        let mut committed_end = 0u64;
+        for (end, rec) in frames(&raw) {
             let is_commit = matches!(rec, Record::Commit { .. });
             current.push(rec);
             if is_commit {
                 groups.push(std::mem::take(&mut current));
-                committed_end = pos;
+                committed_end = end;
             }
         }
         // Truncate everything past the last committed group: a torn frame
         // and a committed-but-unfinished group are both discarded.
-        let torn_bytes = file_len - committed_end as u64;
+        let torn_bytes = file_len - committed_end;
         if torn_bytes > 0 {
-            file.set_len(committed_end as u64)?;
+            file.set_len(committed_end)?;
             file.sync_data()?;
         }
         Ok((
             Wal {
                 file,
-                len: committed_end as u64,
+                len: committed_end,
             },
             Recovered { groups, torn_bytes },
         ))
@@ -555,8 +282,8 @@ impl Wal {
         let mut buf = Vec::new();
         for rec in records {
             let payload = rec.encode();
-            put_u32(&mut buf, payload.len() as u32);
-            put_u32(&mut buf, crc32(&payload));
+            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
             buf.extend_from_slice(&payload);
         }
         self.file.write_all_at(&buf, self.len)?;
@@ -584,11 +311,10 @@ impl Wal {
     }
 }
 
-/// Scans the log at `path` into `(frame_end_offset, record)` pairs,
-/// stopping at the first torn frame. The recovery kill-matrix harness
-/// uses the offsets as its truncation points.
-pub fn scan(path: &Path) -> Result<Vec<(u64, Record)>> {
-    let raw = std::fs::read(path)?;
+/// Walks a raw log image into `(frame_end_offset, record)` pairs, stopping
+/// at the first torn frame: one that runs past the end, fails its
+/// checksum, or does not decode.
+fn frames(raw: &[u8]) -> Vec<(u64, Record)> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + FRAME_HEADER <= raw.len() {
@@ -608,14 +334,22 @@ pub fn scan(path: &Path) -> Result<Vec<(u64, Record)>> {
         pos = start + len;
         out.push((pos as u64, rec));
     }
-    Ok(out)
+    out
+}
+
+/// Scans the log at `path` into `(frame_end_offset, record)` pairs,
+/// stopping at the first torn frame. The recovery kill-matrix harness
+/// uses the offsets as its truncation points.
+pub fn scan(path: &Path) -> Result<Vec<(u64, Record)>> {
+    Ok(frames(&std::fs::read(path)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scidb_core::schema::SchemaBuilder;
-    use scidb_core::value::record;
+    use scidb_core::uncertain::Uncertain;
+    use scidb_core::value::{ScalarType, Value};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("scidb_wal_{}_{name}", std::process::id()))
@@ -662,33 +396,54 @@ mod tests {
         assert!(Record::decode(&[0, 1]).is_err(), "truncated Begin");
     }
 
-    #[test]
-    fn array_codec_roundtrips_schema_and_cells() {
-        let schema = SchemaBuilder::new("wal_rt")
-            .attr("v", ScalarType::Int64)
+    /// The sample `crates/server/src/proto.rs` pins the image with: every
+    /// scalar type, -0.0, NULLs, a nested array and an unbounded dimension.
+    fn sample_array() -> Array {
+        let nested_schema = std::sync::Arc::new(
+            SchemaBuilder::new("inner")
+                .attr("v", ScalarType::Int64)
+                .dim("rank", 4)
+                .build()
+                .unwrap(),
+        );
+        let schema = SchemaBuilder::new("sample")
+            .attr("i", ScalarType::Int64)
+            .attr("f", ScalarType::Float64)
             .attr("s", ScalarType::String)
             .attr("u", ScalarType::UncertainFloat64)
-            .dim("I", 4)
-            .dim("J", 3)
+            .nested_attr("n", std::sync::Arc::clone(&nested_schema))
+            .dim("X", 4)
+            .dim_unbounded("Y")
             .build()
             .unwrap();
         let mut a = Array::new(schema);
+        let mut inner = Array::from_arc(nested_schema);
+        inner.set_cell(&[1], vec![Value::from(10i64)]).unwrap();
+        inner.set_cell(&[3], vec![Value::Null]).unwrap();
         a.set_cell(
             &[1, 1],
-            record([
-                Value::from(42i64),
-                Value::Scalar(Scalar::String("x".into())),
-                Value::Scalar(Scalar::Uncertain(Uncertain::new(1.5, 0.25))),
-            ]),
+            vec![
+                Value::from(7i64),
+                Value::from(-0.0f64),
+                Value::from("x".to_string()),
+                Value::from(Uncertain::new(1.5, 0.25)),
+                Value::Array(Box::new(inner)),
+            ],
         )
         .unwrap();
-        a.set_cell(&[4, 3], vec![Value::from(-1i64), Value::Null, Value::Null])
-            .unwrap();
-        let back = decode_array(&encode_array(&a)).unwrap();
-        assert_eq!(back.schema().name(), "wal_rt");
-        assert_eq!(back.cell_count(), 2);
-        assert_eq!(back.get_cell(&[1, 1]), a.get_cell(&[1, 1]));
-        assert_eq!(back.get_cell(&[4, 3]), a.get_cell(&[4, 3]));
+        let mut nulls = vec![Value::Null; 5];
+        nulls[1] = Value::from(f64::MIN_POSITIVE);
+        a.set_cell(&[4, 9], nulls).unwrap();
+        a
+    }
+
+    #[test]
+    fn array_image_roundtrips_exactly_and_rejects_trailing_bytes() {
+        let a = sample_array();
+        let mut image = encode_array(&a);
+        assert_eq!(decode_array(&image).unwrap(), a);
+        image.push(0);
+        assert!(matches!(decode_array(&image), Err(Error::Storage(_))));
     }
 
     #[test]

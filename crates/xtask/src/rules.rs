@@ -4,32 +4,31 @@
 //!   non-test code of the library crates (`core`, `storage`, `query`,
 //!   `grid`, `provenance`). The paper's no-overwrite and provenance layers
 //!   (§2.5–§2.9) hinge on library code that must not panic mid-commit.
-//!   Escape hatch: `// lint: allow(panic) — justification`.
+//!   Escape hatch: `// analyze: allow(R1, justification)`.
 //! * **R2** — every chunk-parallel kernel must be declared in
 //!   `core::ops::PARALLEL_KERNELS` with a named merge function and appear
 //!   in the serial≡parallel equivalence tests; no parallel fan-out outside
-//!   `core::ops` (escape hatch: `// lint: allow(kernel) — justification`).
+//!   `core::ops` (escape hatch: `// analyze: allow(R2, justification)`).
 //! * **R3** — no `thread::spawn` or raw `Mutex` outside the `sync.rs`
 //!   wrapper modules; concurrency goes through `ExecContext` and the ranked
 //!   lock wrappers. Every exception is a per-site annotation:
-//!   `// lint: allow(concurrency) — justification` or
 //!   `// analyze: allow(R3, justification)`.
 //! * **R4** — public API of `core`/`query` returns `Result` with the crate
 //!   error type; `Option`-swallowed errors (`.ok()` inside a
 //!   `-> Option<…>` function) are violations. Escape hatch:
-//!   `// lint: allow(option-api) — justification`.
+//!   `// analyze: allow(R4, justification)`.
 //! * **R5** — no raw `Instant::now()` or `SystemTime::now()` in non-test
 //!   code of `query`,
 //!   `storage`, or `grid`; timing flows through the `scidb-obs` substrate
 //!   (`Stopwatch`, spans) or `ExecContext::timed` so every measurement is
 //!   attributable in traces. `crates/obs` and `core::exec` define the
 //!   sanctioned clocks. Escape hatch:
-//!   `// lint: allow(timing) — justification`.
+//!   `// analyze: allow(R5, justification)`.
 //! * **R6** — every kernel in `core::ops::PARALLEL_KERNELS` must appear in
 //!   the conformance generator's op table
 //!   (`crates/conformance/src/optable.rs`), so the differential harness
 //!   exercises each chunk-parallel kernel against all four backends.
-//!   Escape hatch: `// lint: allow(conformance) — justification`.
+//!   Escape hatch: `// analyze: allow(R6, justification)`.
 //! * **R7** — lock-order soundness (see [`crate::locks`]): every wrapper
 //!   acquisition edge — direct or through the call graph — must strictly
 //!   ascend in `lock_ranks!` rank, and raw `RwLock`/`Condvar` stay inside
@@ -43,15 +42,15 @@
 //!   dispatch inside a span carrying a `request_type` attribute, so each
 //!   request kind is attributable in server traces and in the
 //!   `system.slow_queries` / Stats surfaces built on them. Escape hatch:
-//!   `// lint: allow(request-span) — justification` on the variant.
+//!   `// analyze: allow(R9, justification)` on the variant.
 //! * **R10** — WAL replay coverage: every variant of the durable layer's
 //!   `wal::Record` enum must be exercised by the kill-matrix harness
 //!   (`tests/recovery.rs`), so a new log record type cannot ship without a
 //!   crash-replay test proving it recovers. Escape hatch:
-//!   `// lint: allow(wal-replay) — justification` on the variant.
+//!   `// analyze: allow(R10, justification)` on the variant.
 //!
-//! Every rule accepts both annotation spellings: the legacy
-//! `// lint: allow(token) — why` and `// analyze: allow(Rn, why)`.
+//! One annotation spelling serves every rule: `// analyze: allow(Rn, why)`
+//! on the flagged line or the line above it; the justification is required.
 
 use crate::scan::SourceFile;
 use std::fmt;
@@ -130,23 +129,6 @@ impl Rule {
             Rule::R8 => "no blocking while locked",
             Rule::R9 => "observable request dispatch",
             Rule::R10 => "WAL replay coverage",
-        }
-    }
-
-    /// The token accepted in `// lint: allow(…)` comments. The rule code
-    /// itself (`// analyze: allow(Rn, …)`) is always accepted too.
-    pub fn allow_token(self) -> &'static str {
-        match self {
-            Rule::R1 => "panic",
-            Rule::R2 => "kernel",
-            Rule::R3 => "concurrency",
-            Rule::R4 => "option-api",
-            Rule::R5 => "timing",
-            Rule::R6 => "conformance",
-            Rule::R7 => "lock-order",
-            Rule::R8 => "blocking",
-            Rule::R9 => "request-span",
-            Rule::R10 => "wal-replay",
         }
     }
 }
@@ -268,8 +250,6 @@ pub fn check_all(ws: &Workspace) -> Vec<Diagnostic> {
 
 /// Emits a diagnostic for a marker hit unless a justified allow comment
 /// covers it; an allow *without* justification is itself a violation.
-/// Both spellings match: `// lint: allow(token) — why` and
-/// `// analyze: allow(Rn, why)`.
 pub(crate) fn marker_diag(
     file: &SourceFile,
     rule: Rule,
@@ -278,25 +258,16 @@ pub(crate) fn marker_diag(
     help: &str,
 ) -> Option<Diagnostic> {
     let (line, col) = file.line_col(off);
-    let allow = file
-        .allow_for(line, rule.allow_token())
-        .or_else(|| file.allow_for(line, rule.code()));
-    match allow {
+    match file.allow_for(line, rule.code()) {
         Some(a) if !a.justification.is_empty() => None,
         Some(_) => Some(Diagnostic {
             rule,
             path: file.path.display().to_string(),
             line,
             col,
-            message: format!(
-                "`lint: allow({})` without a justification",
-                rule.allow_token()
-            ),
+            message: format!("`analyze: allow({rule})` without a justification"),
             snippet: file.line_text(line).to_string(),
-            help: format!(
-                "write `// lint: allow({}) — <why this is safe>`",
-                rule.allow_token()
-            ),
+            help: format!("write `// analyze: allow({rule}, <why this is safe>)`"),
         }),
         None => Some(Diagnostic {
             rule,
@@ -328,7 +299,7 @@ pub fn check_r1(ws: &Workspace) -> Vec<Diagnostic> {
                     off,
                     format!("forbidden panic marker {label} in non-test library code"),
                     "return a typed `Error` with context instead; if the panic is \
-                     provably unreachable, annotate `// lint: allow(panic) — why`",
+                     provably unreachable, annotate `// analyze: allow(R1, why)`",
                 ));
             }
         }
@@ -345,9 +316,8 @@ pub struct ManifestEntry {
     pub entry: String,
     /// Merge function.
     pub merge: String,
-    /// Columnar batch fast path (absent on manifests predating the
-    /// vectorized kernels).
-    pub batch: Option<String>,
+    /// Columnar batch fast path.
+    pub batch: String,
     /// 1-based line of the entry in the manifest file.
     pub line: usize,
 }
@@ -381,15 +351,18 @@ pub fn parse_manifest(file: &SourceFile) -> Vec<ManifestEntry> {
             let q2 = rest[q1 + 1..].find('"')?;
             Some(rest[q1 + 1..q1 + 1 + q2].to_string())
         };
-        if let (Some(name), Some(entry), Some(merge)) =
-            (field("name"), field("entry"), field("merge"))
-        {
+        if let (Some(name), Some(entry), Some(merge), Some(batch)) = (
+            field("name"),
+            field("entry"),
+            field("merge"),
+            field("batch"),
+        ) {
             let (line, _) = file.line_col(open + at);
             entries.push(ManifestEntry {
                 name,
                 entry,
                 merge,
-                batch: field("batch"),
+                batch,
                 line,
             });
         }
@@ -413,7 +386,7 @@ pub fn check_r2(ws: &Workspace) -> Vec<Diagnostic> {
             col: 1,
             message: "missing or empty `PARALLEL_KERNELS` manifest".to_string(),
             snippet: String::new(),
-            help: "declare every chunk-parallel kernel as a `KernelSpec { name, entry, merge }`"
+            help: "declare every chunk-parallel kernel as a `KernelSpec { name, entry, merge, batch }`"
                 .to_string(),
         });
         return diags;
@@ -455,7 +428,7 @@ pub fn check_r2(ws: &Workspace) -> Vec<Diagnostic> {
                 message,
                 "register the kernel in `core::ops::PARALLEL_KERNELS` with a merge \
                  function and a serial≡parallel test, or annotate \
-                 `// lint: allow(kernel) — why` for non-operator uses",
+                 `// analyze: allow(R2, why)` for non-operator uses",
             ));
         }
     }
@@ -596,7 +569,7 @@ pub fn check_r4(ws: &Workspace) -> Vec<Diagnostic> {
                                 f.name
                             ),
                             "propagate the error (`-> Result<…>`), or annotate \
-                             `// lint: allow(option-api) — why None is not an error here`",
+                             `// analyze: allow(R4, why None is not an error here)`",
                         ));
                     }
                 }
@@ -628,7 +601,7 @@ pub fn check_r5(ws: &Workspace) -> Vec<Diagnostic> {
                     format!("raw `{what}` outside the telemetry substrate"),
                     "time through `scidb_obs::Stopwatch`, a span, or `ExecContext::timed` \
                      so the measurement is attributable; if a raw clock is genuinely \
-                     needed, annotate `// lint: allow(timing) — why`",
+                     needed, annotate `// analyze: allow(R5, why)`",
                 ));
             }
         }
@@ -701,8 +674,7 @@ pub fn check_r6(ws: &Workspace) -> Vec<Diagnostic> {
             continue;
         }
         if optable
-            .allow_for(table_line, Rule::R6.allow_token())
-            .or_else(|| optable.allow_for(table_line, Rule::R6.code()))
+            .allow_for(table_line, Rule::R6.code())
             .is_some_and(|a| !a.justification.is_empty())
         {
             continue;
@@ -719,7 +691,7 @@ pub fn check_r6(ws: &Workspace) -> Vec<Diagnostic> {
             snippet: format!("KernelSpec {{ name: \"{}\", … }}", e.name),
             help: "add an `OpEntry` whose `kernel` names this entry point so the \
                    differential harness generates it, or annotate the table with \
-                   `// lint: allow(conformance) — why`"
+                   `// analyze: allow(R6, why)`"
                 .to_string(),
         });
     }
@@ -729,9 +701,9 @@ pub fn check_r6(ws: &Workspace) -> Vec<Diagnostic> {
     // conformance harness is exercising the per-cell loop while the
     // manifest claims the columnar path is under test.
     for e in &entries {
-        let Some(batch) = &e.batch else { continue };
+        let batch = e.batch.as_str();
         let defined = ws.files.iter().any(|f| {
-            f.path.starts_with("crates/core/src/ops") && f.fns().iter().any(|x| x.name == *batch)
+            f.path.starts_with("crates/core/src/ops") && f.fns().iter().any(|x| x.name == batch)
         });
         if !defined {
             diags.push(Diagnostic {
@@ -928,7 +900,7 @@ pub fn check_r9(ws: &Workspace) -> Vec<Diagnostic> {
                 ),
                 "match `Request::…` for this variant inside the instrumented dispatch \
                  (the span with the `request_type` attribute), or annotate \
-                 `// lint: allow(request-span) — why` on the variant",
+                 `// analyze: allow(R9, why)` on the variant",
             ));
         }
     }
@@ -1000,7 +972,7 @@ pub fn check_r10(ws: &Workspace) -> Vec<Diagnostic> {
                 ),
                 "extend the seeded workload (and `replay_covers_every_record_variant`) \
                  so a crash before and after this record is replayed, or annotate \
-                 `// lint: allow(wal-replay) — why` on the variant",
+                 `// analyze: allow(R10, why)` on the variant",
             ));
         }
     }
@@ -1078,8 +1050,8 @@ mod tests {
     #[test]
     fn r1_allow_requires_justification() {
         let src = "fn a() {\n\
-                   x.unwrap(); // lint: allow(panic) — bound checked above\n\
-                   y.unwrap(); // lint: allow(panic)\n}\n";
+                   x.unwrap(); // analyze: allow(R1, bound checked above)\n\
+                   y.unwrap(); // analyze: allow(R1)\n}\n";
         let d = check_r1(&ws(vec![("crates/query/src/a.rs", src)], None));
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("without a justification"), "{d:?}");
@@ -1163,8 +1135,8 @@ mod tests {
     #[test]
     fn r5_allow_requires_justification() {
         let src = "fn a() {\n\
-                   let t = Instant::now(); // lint: allow(timing) — startup clock, pre-trace\n\
-                   let u = Instant::now(); // lint: allow(timing)\n}\n";
+                   let t = Instant::now(); // analyze: allow(R5, startup clock, pre-trace)\n\
+                   let u = Instant::now(); // analyze: allow(R5)\n}\n";
         let d = check_r5(&ws(vec![("crates/grid/src/a.rs", src)], None));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("without a justification"), "{d:?}");
@@ -1187,11 +1159,14 @@ mod tests {
     }
 
     const MANIFEST: &str = r#"
-pub struct KernelSpec { pub name: &'static str, pub entry: &'static str, pub merge: &'static str }
+pub struct KernelSpec { pub name: &'static str, pub entry: &'static str, pub merge: &'static str, pub batch: &'static str }
 pub const PARALLEL_KERNELS: &[KernelSpec] = &[
-    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs" },
+    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs", batch: "filter_columns" },
 ];
 "#;
+
+    /// The columnar fast path `MANIFEST` declares.
+    const BATCH_MOD: &str = "pub(crate) fn filter_columns(c: &Chunk) -> Option<Chunk> { None }\n";
 
     #[test]
     fn r2_accepts_registered_kernel() {
@@ -1258,6 +1233,7 @@ pub const PARALLEL_KERNELS: &[KernelSpec] = &[
         let d = check_r6(&ws(
             vec![
                 ("crates/core/src/ops/mod.rs", MANIFEST),
+                ("crates/core/src/ops/batch.rs", BATCH_MOD),
                 ("crates/conformance/src/optable.rs", optable),
             ],
             None,
@@ -1268,6 +1244,7 @@ pub const PARALLEL_KERNELS: &[KernelSpec] = &[
         let d = check_r6(&ws(
             vec![
                 ("crates/core/src/ops/mod.rs", MANIFEST),
+                ("crates/core/src/ops/batch.rs", BATCH_MOD),
                 ("crates/conformance/src/optable.rs", empty_table),
             ],
             None,
@@ -1372,7 +1349,7 @@ pub enum Request {
 
         let proto = "pub enum Request {\n\
                      Hello,\n\
-                     Debug, // lint: allow(request-span) — compiled out of release servers\n\
+                     Debug, // analyze: allow(R9, compiled out of release servers)\n\
                      }\n";
         let server = "fn dispatch(req: &Request) {\n\
                       span.set_attr(\"request_type\", name(req));\n\
@@ -1430,7 +1407,7 @@ pub enum Record {
 
         let wal = "pub enum Record {\n\
                    Begin { op: u64 },\n\
-                   Debug, // lint: allow(wal-replay) — never written to disk\n\
+                   Debug, // analyze: allow(R10, never written to disk)\n\
                    }\n";
         let d = check_r10(&ws_with_recovery(
             vec![(WAL_FILE, wal)],
@@ -1447,21 +1424,14 @@ pub enum Record {
         assert_eq!(m[0].name, "filter");
         assert_eq!(m[0].entry, "filter_with");
         assert_eq!(m[0].merge, "merge_chunk_outputs");
-        assert_eq!(m[0].batch, None, "legacy manifests have no batch field");
+        assert_eq!(m[0].batch, "filter_columns");
     }
 
-    const MANIFEST_BATCH: &str = r#"
-pub const PARALLEL_KERNELS: &[KernelSpec] = &[
-    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs", batch: "filter_columns" },
-];
-"#;
-
     #[test]
-    fn manifest_parse_extracts_batch_field() {
-        let f = SourceFile::new(PathBuf::from(MANIFEST_FILE), MANIFEST_BATCH.to_string());
-        let m = parse_manifest(&f);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m[0].batch.as_deref(), Some("filter_columns"));
+    fn manifest_entry_without_a_batch_field_is_not_an_entry() {
+        let legacy = MANIFEST.replace(", batch: \"filter_columns\" }", " }");
+        let f = SourceFile::new(PathBuf::from(MANIFEST_FILE), legacy);
+        assert!(parse_manifest(&f).is_empty());
     }
 
     #[test]
@@ -1469,13 +1439,12 @@ pub const PARALLEL_KERNELS: &[KernelSpec] = &[
         let optable = "pub const OP_TABLE: &[OpEntry] = &[\n\
                        OpEntry { name: \"filter\", kernel: Some(\"filter_with\"), weight: 4 },\n\
                        ];\n";
-        let batch_mod = "pub(crate) fn filter_columns(c: &Chunk) -> Option<Chunk> { None }\n";
         let entry_ok = "pub fn filter_with(ctx: &ExecContext) {\n\
                         let fast = filter_columns(&c);\n}\n";
         let d = check_r6(&ws(
             vec![
-                ("crates/core/src/ops/mod.rs", MANIFEST_BATCH),
-                ("crates/core/src/ops/batch.rs", batch_mod),
+                ("crates/core/src/ops/mod.rs", MANIFEST),
+                ("crates/core/src/ops/batch.rs", BATCH_MOD),
                 ("crates/core/src/ops/content.rs", entry_ok),
                 ("crates/conformance/src/optable.rs", optable),
             ],
@@ -1486,7 +1455,7 @@ pub const PARALLEL_KERNELS: &[KernelSpec] = &[
         // Declared batch fn does not exist anywhere under core::ops.
         let d = check_r6(&ws(
             vec![
-                ("crates/core/src/ops/mod.rs", MANIFEST_BATCH),
+                ("crates/core/src/ops/mod.rs", MANIFEST),
                 ("crates/core/src/ops/content.rs", entry_ok),
                 ("crates/conformance/src/optable.rs", optable),
             ],
@@ -1500,8 +1469,8 @@ pub const PARALLEL_KERNELS: &[KernelSpec] = &[
                            let r = per_cell(&c);\n}\n";
         let d = check_r6(&ws(
             vec![
-                ("crates/core/src/ops/mod.rs", MANIFEST_BATCH),
-                ("crates/core/src/ops/batch.rs", batch_mod),
+                ("crates/core/src/ops/mod.rs", MANIFEST),
+                ("crates/core/src/ops/batch.rs", BATCH_MOD),
                 ("crates/core/src/ops/content.rs", entry_stale),
                 ("crates/conformance/src/optable.rs", optable),
             ],

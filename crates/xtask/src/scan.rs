@@ -4,7 +4,7 @@
 //! of `syn` this module implements the small slice of Rust lexing the rules
 //! need: masking comments and literals out of the text, locating
 //! `#[cfg(test)]`/`#[test]` regions, function spans with signatures, and
-//! `// lint: allow(...)` annotations.
+//! `// analyze: allow(...)` annotations.
 //!
 //! Masking preserves byte offsets exactly — every byte of a comment or
 //! literal body is replaced with a space (newlines are kept) — so offsets
@@ -12,13 +12,12 @@
 
 use std::path::PathBuf;
 
-/// A `// lint: allow(token) — justification` or
-/// `// analyze: allow(Rn, justification)` annotation.
+/// A `// analyze: allow(Rn, justification)` annotation.
 #[derive(Debug, Clone)]
 pub struct AllowComment {
     /// 1-based line the comment sits on.
     pub line: usize,
-    /// The rule token or code inside `allow(...)`, e.g. `panic` or `R3`.
+    /// The rule code inside `allow(...)`, e.g. `R3`.
     pub rule: String,
     /// Free-text justification after the closing paren (may be empty,
     /// which rule R1 treats as a violation of its own).
@@ -107,7 +106,7 @@ impl SourceFile {
             .any(|&(lo, hi)| offset >= lo && offset < hi)
     }
 
-    /// The `lint: allow(rule)` annotation covering a 1-based line, if any
+    /// The `analyze: allow(rule, …)` annotation covering a 1-based line, if any
     /// (same line or the immediately preceding line).
     pub fn allow_for(&self, line: usize, rule: &str) -> Option<&AllowComment> {
         self.allows
@@ -561,28 +560,13 @@ fn is_pub_before(mask: &str, at: usize) -> bool {
         .is_some_and(|t| *t == "pub" || t.starts_with("pub("))
 }
 
-/// Parses a `lint: allow(token) — justification` or
-/// `analyze: allow(Rn, justification)` comment.
+/// Parses an `analyze: allow(Rn, justification)` comment.
 fn parse_allow(comment: &str) -> Option<(String, String)> {
-    if let Some(idx) = comment.find("analyze: allow(") {
-        let rest = &comment[idx + "analyze: allow(".len()..];
-        let close = rest.rfind(')')?;
-        let body = &rest[..close];
-        let (rule, justification) = match body.split_once(',') {
-            Some((r, j)) => (r.trim(), j.trim()),
-            None => (body.trim(), ""),
-        };
-        return Some((rule.to_string(), justification.to_string()));
-    }
-    let idx = comment.find("lint: allow(")?;
-    let rest = &comment[idx + "lint: allow(".len()..];
-    let close = rest.find(')')?;
-    let rule = rest[..close].trim().to_string();
-    let justification = rest[close + 1..]
-        .trim_start_matches([' ', '-', '—', '–', ':', ',', '.'])
-        .trim()
-        .to_string();
-    Some((rule, justification))
+    let idx = comment.find("analyze: allow(")?;
+    let rest = &comment[idx + "analyze: allow(".len()..];
+    let body = &rest[..rest.rfind(')')?];
+    let (rule, justification) = body.split_once(',').unwrap_or((body, ""));
+    Some((rule.trim().to_string(), justification.trim().to_string()))
 }
 
 #[cfg(test)]
@@ -667,17 +651,6 @@ mod tests {
         let b = f.allow_for(2, "R8").expect("allow on line 2");
         assert!(b.justification.is_empty());
         assert!(f.allow_for(1, "R8").is_none());
-    }
-
-    #[test]
-    fn allow_comments_parse_rule_and_justification() {
-        let src = "x.unwrap(); // lint: allow(panic) — index proven in bounds above\ny.unwrap(); // lint: allow(panic)\n";
-        let f = sf(src);
-        let a = f.allow_for(1, "panic").expect("allow on line 1");
-        assert_eq!(a.justification, "index proven in bounds above");
-        let b = f.allow_for(2, "panic").expect("allow on line 2");
-        assert!(b.justification.is_empty());
-        assert!(f.allow_for(1, "concurrency").is_none());
     }
 
     #[test]

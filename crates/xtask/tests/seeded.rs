@@ -12,13 +12,20 @@ pub struct KernelSpec {
     pub name: &'static str,
     pub entry: &'static str,
     pub merge: &'static str,
+    pub batch: &'static str,
 }
 pub const PARALLEL_KERNELS: &[KernelSpec] = &[
-    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs" },
+    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs", batch: "filter_columns" },
 ];
 pub fn filter_with() {
+    if let Some(fast) = filter_columns() {
+        return fast;
+    }
     let r = ctx.try_par_map(&chunks, |c| c);
     merge_chunk_outputs(&mut out, r);
+}
+fn filter_columns() -> Option<()> {
+    None
 }
 "#;
 
@@ -94,7 +101,7 @@ fn seeded_violations_in_tests_or_with_justified_allow_pass() {
     fs::write(
         root.join("crates/core/src/ok.rs"),
         "pub fn f(x: Option<u8>) -> u8 {\n\
-         x.unwrap() // lint: allow(panic) — caller checked is_some above\n\
+         x.unwrap() // analyze: allow(R1, caller checked is_some above)\n\
          }\n\
          #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { None::<u8>.unwrap(); }\n}\n",
     )

@@ -3,8 +3,11 @@
 
 use proptest::prelude::*;
 use scidb::insitu::{write_h5, write_netcdf, write_sddf, DatasetSpec};
+use scidb::storage::wal::{self, Record};
 use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
-use scidb::{Array, ScalarType, SchemaBuilder, Value};
+use scidb::{Array, Error, ScalarType, SchemaBuilder, Value};
+
+include!("support/hostile_images.rs");
 
 fn sample(n: i64) -> Array {
     let schema = SchemaBuilder::new("s")
@@ -262,6 +265,56 @@ fn wal_bit_flips_never_panic_on_reopen() {
     }
     let _ = std::fs::remove_dir_all(&kill);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay's path from a log frame to an array: the record envelope, then
+/// the image it carries.
+fn replay_image(payload: &[u8]) -> Result<Array, Error> {
+    match Record::decode(payload)? {
+        Record::PutArrayOnDisk { bytes, .. } => wal::decode_array(&bytes),
+        other => panic!("not a PutArrayOnDisk record: {}", other.kind()),
+    }
+}
+
+/// The WAL half of the adversarial table (the wire half is
+/// `crates/server/tests/hostile_images.rs`): the same hostile images, and
+/// the same defects in the record envelope around them, are
+/// `Error::Storage` from the log's entry points — never a panic.
+#[test]
+fn hostile_array_images_and_records_are_storage_errors_in_the_wal() {
+    let record = |bytes: Vec<u8>| {
+        let name = "A".to_string();
+        Record::PutArrayOnDisk { name, bytes }.encode()
+    };
+    for image in valid_images() {
+        let array = replay_image(&record(image.clone())).expect("valid image");
+        assert_eq!(wal::encode_array(&array), image);
+    }
+    let storage_error = |what: &str, got: Result<Array, Error>| match got {
+        Err(Error::Storage(_)) => {}
+        other => panic!("{what}: expected a storage error, got {other:?}"),
+    };
+    for (what, image) in hostile_images() {
+        storage_error(&what, replay_image(&record(image)));
+    }
+
+    // The envelope: tag | str name | u32 length | image.
+    let good = record(valid_images().remove(0));
+    for cut in 0..good.len() {
+        storage_error(&format!("record cut at {cut}"), replay_image(&good[..cut]));
+    }
+    let mut long_count = good.clone();
+    long_count[6..10].copy_from_slice(&u32::MAX.to_be_bytes());
+    storage_error("image length u32::MAX", replay_image(&long_count));
+    let mut bad_name = good.clone();
+    bad_name[5] = 0xff;
+    storage_error("non-UTF-8 array name", replay_image(&bad_name));
+    let mut bad_tag = good.clone();
+    bad_tag[0] = 99;
+    storage_error("unknown record tag", replay_image(&bad_tag));
+    let mut trailing = good;
+    trailing.push(0);
+    storage_error("trailing byte after the record", replay_image(&trailing));
 }
 
 #[test]
