@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use scidb_bench::data::dense_f64;
 use scidb_core::array::Array;
-use scidb_core::exec::ExecContext;
+use scidb_core::exec::{ExecContext, QueryMetrics};
 use scidb_core::expr::Expr;
 use scidb_core::ops::structural::{DimCond, DimPredicate};
 use scidb_core::ops::{self, AggInput};
@@ -132,10 +132,11 @@ fn bench_parallel_speedup(c: &mut Criterion) {
     });
     g.finish();
 
-    // Drop metrics accumulated during the criterion iterations so the
-    // report below covers only the directly-timed runs.
-    serial.take_metrics();
-    parallel.take_metrics();
+    // The directly-timed parallel runs record their kernel events on this
+    // span; the per-op report below is the view over its trace.
+    let trace = scidb_obs::Trace::new();
+    let root = trace.root("bench", scidb_obs::LAYER_CORE);
+    parallel.set_current_span(Some(root.clone()));
 
     // Direct speedup report (median of 5 runs each).
     let median = |mut xs: Vec<f64>| {
@@ -181,7 +182,9 @@ fn bench_parallel_speedup(c: &mut Criterion) {
         gs * 1e3,
         gp * 1e3
     );
-    println!("{}", parallel.metrics().report());
+    parallel.set_current_span(None);
+    root.finish();
+    println!("{}", QueryMetrics::from_trace(&trace.finish()).report());
 }
 
 criterion_group!(benches, bench_operators, bench_parallel_speedup);

@@ -1,8 +1,8 @@
 //! The chunk-parallel execution context.
 //!
 //! SciDB's unit of physical storage — the chunk — is also its unit of
-//! parallelism. An [`ExecContext`] carries a thread budget and per-query
-//! metrics through the executor into the operator kernels; chunk-separable
+//! parallelism. An [`ExecContext`] carries a thread budget and the current
+//! kernel span through the executor into the operator kernels; chunk-separable
 //! kernels (Subsample, Filter, Apply, Project, Aggregate, Regrid) fan their
 //! chunk lists out over [`par_map`]-style scoped threads and combine the
 //! per-chunk results deterministically, so serial (`threads = 1`) and
@@ -28,7 +28,8 @@ pub struct OpMetrics {
     pub wall: Duration,
 }
 
-/// Accumulated metrics for the statements run under one context.
+/// Per-operator metrics of one or more statements: a view derived from
+/// their traces' `kernel` events.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     /// One entry per operator invocation, in execution order.
@@ -96,12 +97,11 @@ impl QueryMetrics {
     }
 }
 
-/// Thread budget + metrics sink threaded from the executor down into the
-/// operator kernels.
+/// Thread budget + current kernel span threaded from the executor down
+/// into the operator kernels.
 #[derive(Debug)]
 pub struct ExecContext {
     threads: usize,
-    metrics: OrderedMutex<QueryMetrics>,
     span: OrderedMutex<Option<scidb_obs::Span>>,
 }
 
@@ -131,7 +131,6 @@ impl ExecContext {
         };
         ExecContext {
             threads,
-            metrics: OrderedMutex::new(ranks::EXEC, QueryMetrics::default()),
             span: OrderedMutex::new(ranks::EXEC, None),
         }
     }
@@ -147,9 +146,9 @@ impl ExecContext {
     }
 
     /// Installs `span` as the current kernel span, returning the previous
-    /// one. While a span is installed, [`record`](Self::record) also
-    /// forwards each operator invocation to it as a `kernel` event, so
-    /// per-kernel timing lands in the enclosing trace. Executors should
+    /// one. While a span is installed, [`record`](Self::record) forwards
+    /// each operator invocation to it as a `kernel` event, so per-kernel
+    /// timing lands in the enclosing trace. Executors should
     /// restore the previous span when the kernel call returns.
     pub fn set_current_span(&self, span: Option<scidb_obs::Span>) -> Option<scidb_obs::Span> {
         std::mem::replace(&mut *self.span.lock(), span)
@@ -160,29 +159,13 @@ impl ExecContext {
         self.span.lock().clone()
     }
 
-    /// Records one operator invocation (and forwards it to the current
-    /// span as a `kernel` event when one is installed).
+    /// Records one operator invocation as a `kernel` event on the current
+    /// span — the one sink; [`QueryMetrics::from_trace`] is the view. With
+    /// no span installed the invocation is not recorded.
     pub fn record(&self, op: &str, chunks_scanned: u64, cells_touched: u64, wall: Duration) {
         if let Some(span) = self.current_span() {
             span.record_kernel(op, chunks_scanned, cells_touched, wall);
         }
-        let mut m = self.metrics.lock();
-        m.ops.push(OpMetrics {
-            op: op.to_string(),
-            chunks_scanned,
-            cells_touched,
-            wall,
-        });
-    }
-
-    /// Snapshot of the accumulated metrics.
-    pub fn metrics(&self) -> QueryMetrics {
-        self.metrics.lock().clone()
-    }
-
-    /// Drains and returns the accumulated metrics.
-    pub fn take_metrics(&self) -> QueryMetrics {
-        std::mem::take(&mut *self.metrics.lock())
     }
 
     /// Maps `f` over `items`, in parallel when the budget allows.
@@ -209,7 +192,7 @@ impl ExecContext {
             .collect()
     }
 
-    /// Times `f`, recording an [`OpMetrics`] entry on success.
+    /// Times `f`, [`record`](Self::record)ing it on success.
     pub fn timed<R>(&self, op: &str, f: impl FnOnce() -> Result<(R, u64, u64)>) -> Result<R> {
         let start = Instant::now();
         let (out, chunks, cells) = f()?;
@@ -299,22 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_and_drain() {
-        let ctx = ExecContext::serial();
-        ctx.record("filter", 4, 100, Duration::from_millis(2));
-        ctx.record("aggregate", 4, 100, Duration::from_millis(3));
-        let m = ctx.metrics();
-        assert_eq!(m.ops.len(), 2);
-        assert_eq!(m.chunks_scanned(), 8);
-        assert_eq!(m.cells_touched(), 200);
-        assert_eq!(m.total_wall(), Duration::from_millis(5));
-        assert!(m.report().contains("filter"));
-        let drained = ctx.take_metrics();
-        assert_eq!(drained.ops.len(), 2);
-        assert!(ctx.metrics().ops.is_empty());
-    }
-
-    #[test]
     fn record_forwards_to_current_span_and_metrics_derive_from_trace() {
         let ctx = ExecContext::serial();
         let trace = scidb_obs::Trace::new();
@@ -333,9 +300,9 @@ mod tests {
         assert_eq!(derived.ops[0].op, "filter");
         assert_eq!(derived.ops[1].op, "aggregate");
         assert_eq!(derived.cells_touched(), 16);
+        assert_eq!(derived.chunks_scanned(), 4);
         assert_eq!(derived.total_wall(), Duration::from_millis(3));
-        // The context's own sink still saw all three.
-        assert_eq!(ctx.metrics().ops.len(), 3);
+        assert!(derived.report().contains("filter"));
         let both = QueryMetrics::from_traces([&td, &td]);
         assert_eq!(both.ops.len(), 4);
     }

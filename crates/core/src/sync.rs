@@ -326,27 +326,6 @@ impl<'a, T> OrderedRwLockWriteGuard<'a, T> {
             rank,
         }
     }
-
-    /// Maps the guard to a component selected by `f`, or returns the
-    /// original guard when `f` declines.
-    // analyze: allow(R4, guard-mapping idiom — the Err arm returns the original guard, not an error)
-    pub fn try_map<U: ?Sized>(
-        mut guard: Self,
-        f: impl FnOnce(&mut T) -> Option<&mut U>,
-    ) -> Result<OrderedMappedWriteGuard<'a, U>, Self> {
-        let rank = guard.rank;
-        let raw = match guard.raw.take() {
-            Some(g) => g,
-            None => unreachable!("guard mapped after release"),
-        };
-        match RwLockWriteGuard::try_map(raw, f) {
-            Ok(m) => Ok(OrderedMappedWriteGuard { raw: Some(m), rank }),
-            Err(g) => {
-                guard.raw = Some(g);
-                Err(guard)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -403,10 +382,6 @@ mod tests {
         assert_eq!(*back, 3);
         drop(back);
         assert!(witness::held().is_empty());
-
-        let w = l.write();
-        assert!(OrderedRwLockWriteGuard::try_map(w, |v| Some(v)).is_ok());
-        assert!(witness::held().is_empty(), "mapped guard dropped above");
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! The query executor: a [`Database`] catalog plus statement evaluation.
+//! The query executor: statement execution over a shared core, and the
+//! three handles to it.
 //!
-//! Since the serving-layer redesign the catalog lives in an internal,
-//! interior-synchronized core (`DbCore`): an immutable handle to it can be
-//! shared across threads, and every statement executes through that shared
-//! core under a reader/writer lock — read statements (`Query`, `exists`)
-//! take the read side and run concurrently, DDL/DML takes the write side.
-//! Three public handles wrap the core:
+//! The catalog lives in an internal, interior-synchronized core (`DbCore`):
+//! an immutable handle to it can be shared across threads, and every
+//! statement executes through that shared core under a reader/writer lock
+//! — read statements (`Query`, `exists`) take the read side and run
+//! concurrently through the evaluator (`eval`); DDL/DML, like every other
+//! catalog mutation, is a `CatalogOp` through `DbCore::commit` (`catalog`),
+//! which takes the write side. Three public handles wrap the core:
 //!
 //! * [`Database`] — the classic owning handle. All historic `&mut self`
 //!   entry points (`run`, `query`, `execute`, …) are thin wrappers over the
@@ -37,41 +39,38 @@
 //! [`Database::with_threads`] (or `with_threads(1)` as the escape hatch)
 //! controls it.
 
-use crate::ast::{AExpr, AggArg, Literal, Stmt};
+use crate::ast::{AExpr, Stmt};
 use crate::parser;
 use crate::plan;
 use scidb_core::array::Array;
 use scidb_core::enhance::WallClock;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::{ExecContext, QueryMetrics};
-use scidb_core::geometry::HyperRect;
-use scidb_core::history::UpdatableArray;
-use scidb_core::ops::{self, AggInput};
 use scidb_core::registry::Registry;
-use scidb_core::schema::{ArraySchema, AttributeDef, DimensionDef};
 use scidb_core::sync::{
-    ranks, OrderedMappedReadGuard, OrderedMappedWriteGuard, OrderedRwLock, OrderedRwLockReadGuard,
-    OrderedRwLockWriteGuard,
+    ranks, OrderedMappedReadGuard, OrderedMappedWriteGuard, OrderedMutex, OrderedRwLock,
+    OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
 };
-use scidb_core::uncertain::Uncertain;
-use scidb_core::value::{ScalarType, Value};
 use scidb_obs::{
     RenderOptions, SlowEntry, SlowLog, Span, Trace, TraceData, EVENT_RETRY, LAYER_QUERY,
 };
-use scidb_storage::{
-    merge_pass, CodecPolicy, Disk, MemDisk, MergeStats, ReadOptions, StorageManager,
-};
+use scidb_storage::MergeStats;
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod catalog;
 mod durable;
+mod eval;
 mod system;
 
+use catalog::{CatalogOp, CatalogState, Writer};
 use durable::Durability;
+use eval::Evaluator;
 
+pub use catalog::StoredArray;
 pub use system::{is_system_array, SYSTEM_PREFIX};
 
 /// Default slow-query threshold (see [`Database::set_slow_query_threshold`]).
@@ -83,31 +82,6 @@ pub const DEFAULT_SLOW_QUERY_CAPACITY: usize = 32;
 /// Result-cache entry budget; when full the cache is wholesale-evicted
 /// (entries are invalidated by catalog writes far more often in practice).
 pub const RESULT_CACHE_CAPACITY: usize = 64;
-
-/// A stored array instance.
-#[derive(Debug)]
-pub enum StoredArray {
-    /// A plain in-memory array.
-    Plain(Array),
-    /// An updatable (no-overwrite) array (§2.5).
-    Updatable(UpdatableArray),
-    /// A disk-backed array served by the storage manager (§2.8); scans
-    /// stream through [`StorageManager::read_region_traced`].
-    OnDisk(StorageManager),
-}
-
-impl StoredArray {
-    /// A scannable in-memory view: plain arrays as-is; updatable arrays
-    /// expose their full inner array including the history dimension.
-    /// Disk-backed arrays have no resident view — scan them instead.
-    pub fn as_array(&self) -> Option<&Array> {
-        match self {
-            StoredArray::Plain(a) => Some(a),
-            StoredArray::Updatable(u) => Some(u.array()),
-            StoredArray::OnDisk(_) => None,
-        }
-    }
-}
 
 /// Result of executing one statement.
 #[derive(Debug)]
@@ -182,8 +156,6 @@ impl StmtResult {
 
 /// Shared read access to a stored array (released on drop).
 pub type ArrayRef<'a> = OrderedMappedReadGuard<'a, StoredArray>;
-/// Exclusive access to a stored array (released on drop).
-pub type ArrayRefMut<'a> = OrderedMappedWriteGuard<'a, StoredArray>;
 /// Shared read access to the function registry.
 pub type RegistryRef<'a> = OrderedMappedReadGuard<'a, Registry>;
 /// Exclusive access to the function registry.
@@ -192,29 +164,6 @@ pub type RegistryRefMut<'a> = OrderedMappedWriteGuard<'a, Registry>;
 pub type SlowLogRef<'a> = OrderedRwLockReadGuard<'a, SlowLog>;
 /// Exclusive access to the slow-query log.
 pub type SlowLogRefMut<'a> = OrderedRwLockWriteGuard<'a, SlowLog>;
-
-/// The lock-guarded catalog: array types, array instances, and the
-/// function registry move together under one reader/writer lock so a
-/// statement sees an atomic snapshot of all three.
-struct CatalogState {
-    types: HashMap<String, ArraySchema>,
-    arrays: HashMap<String, StoredArray>,
-    registry: Registry,
-}
-
-impl CatalogState {
-    fn stored(&self, name: &str) -> Result<&StoredArray> {
-        self.arrays
-            .get(name)
-            .ok_or_else(|| Error::not_found(format!("array '{name}'")))
-    }
-
-    fn stored_mut(&mut self, name: &str) -> Result<&mut StoredArray> {
-        self.arrays
-            .get_mut(name)
-            .ok_or_else(|| Error::not_found(format!("array '{name}'")))
-    }
-}
 
 /// One cached query result, valid while the catalog generation matches.
 struct CachedQuery {
@@ -359,26 +308,19 @@ struct DbCore {
     /// of `system.sessions`.
     sessions: OrderedRwLock<BTreeMap<u64, Arc<SessionStats>>>,
     next_session: AtomicU64,
-    /// The WAL/paged-disk backend of a durable database
-    /// ([`Database::open`]); `None` for the classic in-memory engine.
+    /// The writer mutex: held across every catalog mutation
+    /// ([`DbCore::commit`]), and around the log of a durable database.
+    writer: OrderedMutex<Writer>,
+    /// What [`Database::open`] found; `None` for an in-memory database.
     durable: Option<Durability>,
 }
 
 impl DbCore {
-    fn new(threads: usize) -> Self {
-        DbCore::new_with(threads, None)
-    }
-
-    fn new_with(threads: usize, durable: Option<Durability>) -> Self {
+    /// A core over an empty catalog, in memory (`log: None`) or about to
+    /// replay `log` ([`DbCore::open`]).
+    fn new(threads: usize, log: Option<durable::Log>) -> Self {
         DbCore {
-            state: OrderedRwLock::new(
-                ranks::CATALOG,
-                CatalogState {
-                    types: HashMap::new(),
-                    arrays: HashMap::new(),
-                    registry: Registry::with_builtins(),
-                },
-            ),
+            state: OrderedRwLock::new(ranks::CATALOG, CatalogState::new()),
             slow_log: OrderedRwLock::new(
                 ranks::SLOW_LOG,
                 SlowLog::new(DEFAULT_SLOW_QUERY_THRESHOLD, DEFAULT_SLOW_QUERY_CAPACITY),
@@ -388,7 +330,8 @@ impl DbCore {
             result_cache: OrderedRwLock::new(ranks::RESULT_CACHE, HashMap::new()),
             sessions: OrderedRwLock::new(ranks::SESSION_REGISTRY, BTreeMap::new()),
             next_session: AtomicU64::new(0),
-            durable,
+            writer: OrderedMutex::new(ranks::WAL, Writer { log }),
+            durable: None,
         }
     }
 
@@ -484,9 +427,6 @@ impl DbCore {
         use_cache: bool,
     ) -> Result<StmtResult> {
         match stmt {
-            // Unreachable from `execute_stmt`, which strips explains
-            // first; a direct call degrades to the inner statement.
-            Stmt::ExplainAnalyze(inner) => self.dispatch(*inner, aql, root, ctx, use_cache),
             Stmt::Query(expr) => {
                 // `system.*` scans read live telemetry the generation
                 // counter does not version, so they never enter the result
@@ -501,7 +441,7 @@ impl DbCore {
                     StoredArray::OnDisk(mgr) => {
                         let span = root.child("exists", LAYER_QUERY);
                         span.set_attr("array", array.as_str());
-                        let res = exists_on_disk(mgr, &coords, &span);
+                        let res = eval::exists_on_disk(mgr, &coords, &span);
                         match &res {
                             Ok(b) => span.set_attr("found", *b),
                             Err(e) => span.set_attr("error", e.to_string()),
@@ -513,20 +453,12 @@ impl DbCore {
                 };
                 Ok(StmtResult::Bool(found))
             }
-            write => {
-                // Durable engines route the write through the WAL: the
-                // durable-op mutex (rank WAL, below CATALOG) is taken
-                // first so the whole operation commits as one log group.
-                if let Some(d) = &self.durable {
-                    return d.stmt(self, write, aql, root, ctx);
-                }
-                let mut state = self.state.write();
-                let out = apply_write(self, &mut state, write, root, ctx);
-                if out.is_ok() {
-                    self.touch();
-                }
-                out
-            }
+            stmt => self.commit(CatalogOp::Stmt {
+                stmt,
+                aql,
+                root,
+                ctx,
+            }),
         }
     }
 
@@ -580,60 +512,6 @@ impl DbCore {
 
     // ---- catalog helpers shared by Database and SharedDatabase ----------
 
-    fn put_array(&self, name: &str, array: Array) -> Result<()> {
-        if let Some(d) = &self.durable {
-            return d.put_array(self, name, array);
-        }
-        self.put_array_plain(name, array)
-    }
-
-    fn put_array_plain(&self, name: &str, array: Array) -> Result<()> {
-        system::reject_reserved(name)?;
-        let mut state = self.state.write();
-        if state.arrays.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("array '{name}'")));
-        }
-        state
-            .arrays
-            .insert(name.to_string(), StoredArray::Plain(array));
-        self.touch();
-        Ok(())
-    }
-
-    fn put_array_on_disk(&self, name: &str, array: &Array) -> Result<()> {
-        if let Some(d) = &self.durable {
-            return d.put_array_on_disk(self, name, array);
-        }
-        system::reject_reserved(name)?;
-        let mut state = self.state.write();
-        if state.arrays.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("array '{name}'")));
-        }
-        let mgr = store_on_disk(Arc::new(MemDisk::new()), name, array)?;
-        state
-            .arrays
-            .insert(name.to_string(), StoredArray::OnDisk(mgr));
-        self.touch();
-        Ok(())
-    }
-
-    fn merge_on_disk(&self, name: &str, factor: i64) -> Result<MergeStats> {
-        if let Some(d) = &self.durable {
-            return d.merge_on_disk(self, name, factor);
-        }
-        let mut state = self.state.write();
-        let stats = match state.stored_mut(name)? {
-            StoredArray::OnDisk(mgr) => merge_pass(mgr, factor)?,
-            _ => {
-                return Err(Error::Unsupported(format!(
-                    "merge of non-disk-backed array '{name}'"
-                )))
-            }
-        };
-        self.touch();
-        Ok(stats)
-    }
-
     fn array_names(&self) -> Vec<String> {
         let state = self.state.read();
         let mut v: Vec<String> = state.arrays.keys().cloned().collect();
@@ -644,396 +522,6 @@ impl DbCore {
     fn array_guard(&self, name: &str) -> Result<ArrayRef<'_>> {
         OrderedRwLockReadGuard::try_map(self.state.read(), |s| s.arrays.get(name))
             .map_err(|_| Error::not_found(format!("array '{name}'")))
-    }
-
-    fn array_guard_mut(&self, name: &str) -> Result<ArrayRefMut<'_>> {
-        match OrderedRwLockWriteGuard::try_map(self.state.write(), |s| s.arrays.get_mut(name)) {
-            Ok(g) => {
-                // The caller may mutate through the guard; invalidate
-                // conservatively while the write lock is still held.
-                self.touch();
-                Ok(g)
-            }
-            Err(_) => Err(Error::not_found(format!("array '{name}'"))),
-        }
-    }
-}
-
-/// Applies a DDL/DML statement to the exclusively borrowed catalog.
-/// `core` rides along so `store(...)` evaluations can resolve `system.*`
-/// virtual arrays against live telemetry.
-fn apply_write(
-    core: &DbCore,
-    state: &mut CatalogState,
-    stmt: Stmt,
-    root: &Span,
-    ctx: &ExecContext,
-) -> Result<StmtResult> {
-    match stmt {
-        Stmt::DefineArray {
-            name,
-            updatable,
-            attrs,
-            dims,
-        } => {
-            if state.types.contains_key(&name) {
-                return Err(Error::AlreadyExists(format!("type '{name}'")));
-            }
-            let mut attr_defs = Vec::new();
-            for (aname, tname) in &attrs {
-                let ty = ScalarType::parse(tname)
-                    .or_else(|| {
-                        // User-defined types resolve to their base.
-                        state.registry.type_def(tname).ok().map(|t| t.base())
-                    })
-                    .ok_or_else(|| Error::schema(format!("unknown type '{tname}'")))?;
-                attr_defs.push(AttributeDef::scalar(aname.clone(), ty));
-            }
-            let mut dim_defs = Vec::new();
-            for d in &dims {
-                let mut def = match d.upper {
-                    Some(u) => DimensionDef::bounded(d.name.clone(), u),
-                    None => DimensionDef::unbounded(d.name.clone()),
-                };
-                if let Some(c) = d.chunk {
-                    def = def.with_chunk(c);
-                }
-                dim_defs.push(def);
-            }
-            let mut schema = ArraySchema::new(&name, attr_defs, dim_defs)?;
-            if updatable {
-                schema = schema.updatable()?;
-            }
-            state.types.insert(name.clone(), schema);
-            Ok(StmtResult::Done(format!("defined type {name}")))
-        }
-        Stmt::CreateArray {
-            name,
-            type_name,
-            bounds,
-        } => {
-            system::reject_reserved(&name)?;
-            if state.arrays.contains_key(&name) {
-                return Err(Error::AlreadyExists(format!("array '{name}'")));
-            }
-            let ty = state
-                .types
-                .get(&type_name)
-                .ok_or_else(|| Error::not_found(format!("type '{type_name}'")))?;
-            // Updatable types: bounds exclude the implicit history dim.
-            let schema = if ty.is_updatable() && bounds.len() == ty.rank() - 1 {
-                let mut b = bounds.clone();
-                b.push(None);
-                ty.instantiate(&name, &b)?
-            } else {
-                ty.instantiate(&name, &bounds)?
-            };
-            let stored = if schema.is_updatable() {
-                StoredArray::Updatable(UpdatableArray::new(schema)?)
-            } else {
-                StoredArray::Plain(Array::new(schema))
-            };
-            state.arrays.insert(name.clone(), stored);
-            Ok(StmtResult::Done(format!("created array {name}")))
-        }
-        Stmt::Enhance { array, function } => {
-            let f = state.registry.enhancement(&function)?;
-            match state.stored_mut(&array)? {
-                StoredArray::Plain(a) => a.enhance(f)?,
-                StoredArray::Updatable(u) => {
-                    if f.output_names().len() == 1 {
-                        u.set_clock(f)?;
-                    } else {
-                        return Err(Error::Unsupported(
-                            "multi-dimension enhancement of an updatable array".into(),
-                        ));
-                    }
-                }
-                StoredArray::OnDisk(_) => {
-                    return Err(Error::Unsupported(
-                        "enhancement of a disk-backed array".into(),
-                    ))
-                }
-            }
-            Ok(StmtResult::Done(format!(
-                "enhanced {array} with {function}"
-            )))
-        }
-        Stmt::Shape { array, function } => {
-            let f = state.registry.shape(&function)?;
-            match state.stored_mut(&array)? {
-                StoredArray::Plain(a) => a.set_shape(f)?,
-                StoredArray::Updatable(_) => {
-                    return Err(Error::Unsupported(
-                        "shape functions on updatable arrays".into(),
-                    ))
-                }
-                StoredArray::OnDisk(_) => {
-                    return Err(Error::Unsupported(
-                        "shape functions on disk-backed arrays".into(),
-                    ))
-                }
-            }
-            Ok(StmtResult::Done(format!("shaped {array} with {function}")))
-        }
-        Stmt::Insert {
-            array,
-            coords,
-            values,
-        } => {
-            let record: Vec<Value> = values.iter().map(literal_to_value).collect();
-            match state.stored_mut(&array)? {
-                StoredArray::Plain(a) => a.set_cell(&coords, record)?,
-                StoredArray::Updatable(u) => {
-                    // No-overwrite: the insert lands at the next
-                    // history version (§2.5).
-                    u.commit_put(&coords, record)?;
-                }
-                StoredArray::OnDisk(_) => {
-                    return Err(Error::Unsupported(
-                        "cell insert into a disk-backed array".into(),
-                    ))
-                }
-            }
-            Ok(StmtResult::Done(format!("inserted into {array}")))
-        }
-        Stmt::Store { expr, into } => {
-            system::reject_reserved(&into)?;
-            if state.arrays.contains_key(&into) {
-                return Err(Error::AlreadyExists(format!("array '{into}'")));
-            }
-            let ev = Evaluator {
-                state: &*state,
-                ctx,
-                core,
-            };
-            let result = ev.eval_node(root, plan::optimize(expr))?;
-            let renamed_schema = result.schema().renamed(&into);
-            let mut out = Array::new(renamed_schema);
-            for (coords, rec) in result.cells() {
-                out.set_cell(&coords, rec)?;
-            }
-            state.arrays.insert(into.clone(), StoredArray::Plain(out));
-            Ok(StmtResult::Done(format!("stored into {into}")))
-        }
-        Stmt::Drop { name } => {
-            state
-                .arrays
-                .remove(&name)
-                .ok_or_else(|| Error::not_found(format!("array '{name}'")))?;
-            Ok(StmtResult::Done(format!("dropped {name}")))
-        }
-        // Read statements never reach here (dispatch routes them to the
-        // read path); degrade to a typed error rather than panicking.
-        other => Err(Error::eval(format!(
-            "statement '{other}' is not a catalog write"
-        ))),
-    }
-}
-
-/// Single-cell probe against a disk-backed array: out-of-domain coords
-/// are simply absent; in-domain coords cost one serial region read.
-fn exists_on_disk(mgr: &StorageManager, coords: &[i64], span: &Span) -> Result<bool> {
-    if !full_domain(mgr.schema())?.contains(coords) {
-        return Ok(false);
-    }
-    let cell = HyperRect::new(coords.to_vec(), coords.to_vec())?;
-    let (a, _stats) = mgr.read_region_traced(&cell, ReadOptions::serial(), span)?;
-    Ok(a.cell_count() > 0)
-}
-
-/// A borrowed view over one catalog snapshot plus the execution context
-/// the statement runs under — the read-side evaluation engine. The core
-/// handle resolves `system.*` virtual arrays from live telemetry.
-struct Evaluator<'a> {
-    state: &'a CatalogState,
-    ctx: &'a ExecContext,
-    core: &'a DbCore,
-}
-
-impl Evaluator<'_> {
-    /// Evaluates an (optimized) array expression as a child span of
-    /// `parent`, recording output chunk/cell counts (or the error).
-    fn eval_node(&self, parent: &Span, expr: AExpr) -> Result<Array> {
-        let span = parent.child(plan::node_name(&expr), LAYER_QUERY);
-        let result = self.eval_kernel(&span, expr);
-        match &result {
-            Ok(a) => {
-                span.set_attr("chunks_out", a.chunks().len() as u64);
-                span.set_attr("cells_out", a.cell_count() as u64);
-            }
-            Err(e) => span.set_attr("error", e.to_string()),
-        }
-        span.finish();
-        result
-    }
-
-    /// The operator dispatch for one plan node, inside its span. Kernel
-    /// calls run with `span` installed as the context's current span, so
-    /// [`ExecContext::record`] lands per-operator timing in the trace.
-    fn eval_kernel(&self, span: &Span, expr: AExpr) -> Result<Array> {
-        let registry = &self.state.registry;
-        match expr {
-            AExpr::Scan(name) => {
-                span.set_attr("array", name.as_str());
-                if let Some(built) = system::resolve(self.core, &name) {
-                    // Virtual arrays are built from live telemetry, not
-                    // storage; the attr excludes them from cells-scanned
-                    // accounting.
-                    span.set_attr("system", true);
-                    return built;
-                }
-                match self.state.stored(&name)? {
-                    StoredArray::Plain(a) => Ok(a.clone()),
-                    StoredArray::Updatable(u) => Ok(u.array().clone()),
-                    StoredArray::OnDisk(mgr) => {
-                        let region = full_domain(mgr.schema())?;
-                        let opts = if self.ctx.threads() == 1 {
-                            ReadOptions::serial()
-                        } else {
-                            ReadOptions::parallel_with(self.ctx.threads())
-                        };
-                        let (a, _stats) = mgr.read_region_traced(&region, opts, span)?;
-                        Ok(a)
-                    }
-                }
-            }
-            AExpr::Subsample { input, pred } => {
-                let input = self.eval_node(span, *input)?;
-                let dp = plan::expr_to_dim_predicate(&pred)?;
-                self.with_kernel(span, || {
-                    ops::subsample_with(&input, &dp, Some(registry), self.ctx)
-                })
-            }
-            AExpr::Filter { input, pred } => {
-                let input = self.eval_node(span, *input)?;
-                let pred = plan::resolve_expr(&pred, input.schema())?;
-                self.with_kernel(span, || {
-                    ops::filter_with(&input, &pred, Some(registry), self.ctx)
-                })
-            }
-            AExpr::Aggregate {
-                input,
-                group,
-                agg,
-                arg,
-            } => {
-                let input = self.eval_node(span, *input)?;
-                let groups: Vec<&str> = group.iter().map(String::as_str).collect();
-                let agg_input = match arg {
-                    AggArg::Star => AggInput::Star,
-                    AggArg::Attr(a) => AggInput::Attr(a),
-                };
-                self.with_kernel(span, || {
-                    ops::aggregate_with(&input, &groups, &agg, agg_input, registry, self.ctx)
-                })
-            }
-            AExpr::Sjoin { left, right, on } => {
-                let left = self.eval_node(span, *left)?;
-                let right = self.eval_node(span, *right)?;
-                let pairs: Vec<(&str, &str)> =
-                    on.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
-                self.timed_serial(span, "sjoin", &left, || ops::sjoin(&left, &right, &pairs))
-            }
-            AExpr::Cjoin { left, right, pred } => {
-                let left = self.eval_node(span, *left)?;
-                let right = self.eval_node(span, *right)?;
-                // Resolve the predicate against the combined schema by
-                // dry-running the join on empty inputs.
-                let probe = ops::cjoin(
-                    &Array::from_arc(left.schema_arc()),
-                    &Array::from_arc(right.schema_arc()),
-                    &scidb_core::expr::Expr::lit(true),
-                    None,
-                )?;
-                let pred = plan::resolve_expr(&pred, probe.schema())?;
-                self.timed_serial(span, "cjoin", &left, || {
-                    ops::cjoin(&left, &right, &pred, Some(registry))
-                })
-            }
-            AExpr::Apply { input, name, expr } => {
-                let input = self.eval_node(span, *input)?;
-                let expr = plan::resolve_expr(&expr, input.schema())?;
-                let ty = plan::infer_type(&expr, input.schema());
-                self.with_kernel(span, || {
-                    ops::apply_with(&input, &name, &expr, ty, Some(registry), self.ctx)
-                })
-            }
-            AExpr::Project { input, attrs } => {
-                let input = self.eval_node(span, *input)?;
-                let keep: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                self.with_kernel(span, || ops::project_with(&input, &keep, self.ctx))
-            }
-            AExpr::Reshape {
-                input,
-                order,
-                new_dims,
-            } => {
-                let input = self.eval_node(span, *input)?;
-                let order: Vec<&str> = order.iter().map(String::as_str).collect();
-                self.timed_serial(span, "reshape", &input, || {
-                    ops::reshape(&input, &order, &new_dims)
-                })
-            }
-            AExpr::Regrid {
-                input,
-                factors,
-                agg,
-            } => {
-                let input = self.eval_node(span, *input)?;
-                self.with_kernel(span, || {
-                    ops::regrid_with(&input, &factors, &agg, registry, self.ctx)
-                })
-            }
-            AExpr::Concat { left, right, dim } => {
-                let left = self.eval_node(span, *left)?;
-                let right = self.eval_node(span, *right)?;
-                self.timed_serial(span, "concat", &left, || ops::concat(&left, &right, &dim))
-            }
-            AExpr::Cross { left, right } => {
-                let left = self.eval_node(span, *left)?;
-                let right = self.eval_node(span, *right)?;
-                self.timed_serial(span, "cross", &left, || ops::cross_product(&left, &right))
-            }
-            AExpr::AddDim { input, name } => {
-                let input = self.eval_node(span, *input)?;
-                self.timed_serial(span, "add_dim", &input, || {
-                    ops::add_dimension(&input, &name)
-                })
-            }
-            AExpr::Slice { input, dim, at } => {
-                let input = self.eval_node(span, *input)?;
-                self.timed_serial(span, "slice", &input, || {
-                    ops::remove_dimension(&input, &dim, at)
-                })
-            }
-        }
-    }
-
-    /// Runs `f` with `span` installed as the context's current kernel span,
-    /// restoring the previous one on return.
-    fn with_kernel<R>(&self, span: &Span, f: impl FnOnce() -> Result<R>) -> Result<R> {
-        let prev = self.ctx.set_current_span(Some(span.clone()));
-        let out = f();
-        self.ctx.set_current_span(prev);
-        out
-    }
-
-    /// Times a serial (non-chunk-parallel) operator through the context's
-    /// single timing path ([`ExecContext::timed`]), charging the primary
-    /// input's chunk and cell counts.
-    fn timed_serial<R>(
-        &self,
-        span: &Span,
-        op: &str,
-        input: &Array,
-        f: impl FnOnce() -> Result<R>,
-    ) -> Result<R> {
-        let chunks = input.chunks().len() as u64;
-        let cells = input.cell_count() as u64;
-        self.with_kernel(span, || {
-            self.ctx.timed(op, || f().map(|r| (r, chunks, cells)))
-        })
     }
 }
 
@@ -1093,7 +581,7 @@ impl Database {
     /// execution, `0` auto-sizes to the machine).
     pub fn with_threads(threads: usize) -> Self {
         Database {
-            session: Session::over(Arc::new(DbCore::new(threads))),
+            session: Session::over(Arc::new(DbCore::new(threads, None))),
         }
     }
 
@@ -1110,13 +598,8 @@ impl Database {
 
     /// [`Database::open`] with an explicit thread budget.
     pub fn open_with_threads(path: impl AsRef<Path>, threads: usize) -> Result<Self> {
-        let (durable, groups) = Durability::create(path.as_ref())?;
-        let core = Arc::new(DbCore::new_with(threads, Some(durable)));
-        if let Some(d) = &core.durable {
-            d.replay(&core, groups)?;
-        }
         Ok(Database {
-            session: Session::over(core),
+            session: Session::over(Arc::new(DbCore::open(path.as_ref(), threads)?)),
         })
     }
 
@@ -1127,7 +610,7 @@ impl Database {
 
     /// The directory a durable database persists under.
     pub fn storage_dir(&self) -> Option<&Path> {
-        self.session.core.durable.as_ref().map(|d| d.dir())
+        self.session.core.durable.as_ref().map(|d| d.dir.as_path())
     }
 
     /// Runs one super-tile merge pass (factor × the chunk stride) over a
@@ -1135,7 +618,13 @@ impl Database {
     /// database the pass commits as a WAL group and is re-run (and
     /// byte-verified) on recovery.
     pub fn merge_on_disk(&mut self, name: &str, factor: i64) -> Result<MergeStats> {
-        self.session.core.merge_on_disk(name, factor)
+        let mut stats = MergeStats::default();
+        self.session.core.commit(CatalogOp::Merge {
+            name,
+            factor,
+            stats: &mut stats,
+        })?;
+        Ok(stats)
     }
 
     /// This handle's live execution counters (its `system.sessions` row).
@@ -1218,7 +707,7 @@ impl Database {
     /// resetting them per call. This handle's own accumulated
     /// traces/metrics are reset, as before the serving-layer redesign.
     pub fn session(&mut self) -> Session {
-        self.session.reset();
+        self.session.traces.clear();
         Session::over(Arc::clone(&self.session.core))
     }
 
@@ -1240,24 +729,21 @@ impl Database {
         self.session.core.array_guard(name)
     }
 
-    /// Mutable access to a stored array.
-    pub fn array_mut(&mut self, name: &str) -> Result<ArrayRefMut<'_>> {
-        self.session.core.array_guard_mut(name)
-    }
-
     /// Registers an existing array under a name (bulk-load path used by
     /// examples and benches).
     pub fn put_array(&mut self, name: &str, array: Array) -> Result<()> {
-        self.session.core.put_array(name, array)
+        self.share().put_array(name, array)
     }
 
     /// Registers an array as a disk-backed instance: its chunks are
-    /// compressed into storage-manager buckets (in-memory disk, default
-    /// codec policy) and subsequent scans stream through
-    /// [`StorageManager::read_region_traced`], nesting storage spans under
-    /// the query's trace. All dimensions must be bounded.
+    /// compressed into storage-manager buckets (adaptive codecs; on a fresh
+    /// in-memory disk, or the paged disk of a durable database) and
+    /// subsequent scans stream through
+    /// [`scidb_storage::StorageManager::read_region_traced`], nesting
+    /// storage spans under the query's trace. All dimensions must be
+    /// bounded.
     pub fn put_array_on_disk(&mut self, name: &str, array: &Array) -> Result<()> {
-        self.session.core.put_array_on_disk(name, array)
+        self.share().put_array_on_disk(name, array)
     }
 
     /// Array names in the catalog (sorted).
@@ -1269,14 +755,14 @@ impl Database {
     /// statement. Resets [`traces`](Self::traces)/[`metrics`](Self::metrics)
     /// first.
     pub fn run(&mut self, text: &str) -> Result<Vec<StmtResult>> {
-        self.session.reset();
+        self.session.traces.clear();
         self.session.run(text)
     }
 
     /// Runs a single-statement query expecting an array result. Resets
     /// [`traces`](Self::traces)/[`metrics`](Self::metrics) first.
     pub fn query(&mut self, text: &str) -> Result<Array> {
-        self.session.reset();
+        self.session.traces.clear();
         self.session.query(text)
     }
 
@@ -1324,13 +810,17 @@ impl SharedDatabase {
     /// Registers an existing array under a name (the serving layer's
     /// bulk-load path).
     pub fn put_array(&self, name: &str, array: Array) -> Result<()> {
-        self.core.put_array(name, array)
+        self.core
+            .commit(CatalogOp::PutArray { name, array })
+            .map(drop)
     }
 
     /// Registers an array as a disk-backed instance (see
     /// [`Database::put_array_on_disk`]).
     pub fn put_array_on_disk(&self, name: &str, array: &Array) -> Result<()> {
-        self.core.put_array_on_disk(name, array)
+        self.core
+            .commit(CatalogOp::PutArrayOnDisk { name, array })
+            .map(drop)
     }
 
     /// Array names in the catalog (sorted).
@@ -1364,36 +854,6 @@ impl SharedDatabase {
     pub fn set_slow_query_threshold(&self, threshold: Duration) {
         self.core.slow_log.write().set_threshold(threshold);
     }
-}
-
-/// Loads `array` into a fresh storage manager over `disk` as catalog entry
-/// `name` (adaptive codecs). All dimensions must be bounded.
-fn store_on_disk(disk: Arc<dyn Disk>, name: &str, array: &Array) -> Result<StorageManager> {
-    if let Some(d) = array.schema().dims().iter().find(|d| d.is_unbounded()) {
-        return Err(Error::Unsupported(format!(
-            "on-disk array with unbounded dimension '{}'",
-            d.name
-        )));
-    }
-    let schema = Arc::new(array.schema().renamed(name));
-    let mut mgr = StorageManager::new(disk, schema, CodecPolicy::adaptive());
-    mgr.store_array(array)?;
-    Ok(mgr)
-}
-
-/// The full (1-based) stored domain of a disk-backed schema; errors on
-/// unbounded dimensions (rejected at `put_array_on_disk` time).
-fn full_domain(schema: &ArraySchema) -> Result<HyperRect> {
-    let mut low = Vec::with_capacity(schema.rank());
-    let mut high = Vec::with_capacity(schema.rank());
-    for d in schema.dims() {
-        let upper = d.upper.ok_or_else(|| {
-            Error::Unsupported(format!("scan of unbounded on-disk dimension '{}'", d.name))
-        })?;
-        low.push(1);
-        high.push(upper);
-    }
-    HyperRect::new(low, high)
 }
 
 /// An owning statement-execution handle over a shared database core.
@@ -1503,30 +963,17 @@ impl Session {
     /// Drains the session's retained traces, returning the metrics view.
     pub fn take_metrics(&mut self) -> QueryMetrics {
         let m = self.metrics();
-        self.reset();
-        m
-    }
-
-    fn reset(&mut self) {
         self.traces.clear();
-        self.ctx.take_metrics();
-    }
-}
-
-fn literal_to_value(l: &Literal) -> Value {
-    match l {
-        Literal::Int(v) => Value::from(*v),
-        Literal::Float(v) => Value::from(*v),
-        Literal::Str(s) => Value::from(s.clone()),
-        Literal::Bool(b) => Value::from(*b),
-        Literal::Null => Value::Null,
-        Literal::Uncertain(m, s) => Value::from(Uncertain::new(*m, *s)),
+        m
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scidb_core::geometry::HyperRect;
+    use scidb_core::value::{ScalarType, Value};
+    use scidb_storage::{CodecPolicy, ReadOptions};
 
     fn db_with_h() -> Database {
         let mut db = Database::new();

@@ -18,7 +18,7 @@
 //! or the result cache. Lock ordering is safe by construction — every
 //! lock consulted here (`SESSION_REGISTRY` 35, `POOL` 46, `SLOW_LOG` 70,
 //! `RESULT_CACHE` 80, `METRICS` 100) ranks above the `CATALOG` (30) guard
-//! held while a scan evaluates. The durable-op mutex (`WAL` 25) ranks
+//! held while a scan evaluates. The writer mutex (`WAL` 25) ranks
 //! *below* `CATALOG` and is therefore never consulted here —
 //! `system.storage` reads WAL traffic from lock-free counters instead.
 
@@ -250,10 +250,10 @@ fn storage(core: &DbCore) -> Result<Array> {
     let (durable, pool, replayed_ops, replay_ms, torn_bytes) = match &core.durable {
         Some(d) => (
             1u64,
-            d.pool_stats(),
-            d.replayed_ops(),
-            d.replay_ms(),
-            d.torn_bytes(),
+            d.disk.pool_stats(),
+            d.replayed_ops,
+            d.replay_ms,
+            d.torn_bytes,
         ),
         None => (0, Default::default(), 0, 0, 0),
     };

@@ -24,8 +24,8 @@ pub mod token;
 pub use ast::{AExpr, AggArg, DimSpec, Literal, Stmt};
 pub use binding::{scan, Q};
 pub use exec::{
-    is_system_array, ArrayRef, ArrayRefMut, Database, Prepared, RegistryRef, RegistryRefMut,
-    Session, SessionStats, SharedDatabase, SlowLogRef, SlowLogRefMut, StatementProfile, StmtResult,
+    is_system_array, ArrayRef, Database, Prepared, RegistryRef, RegistryRefMut, Session,
+    SessionStats, SharedDatabase, SlowLogRef, SlowLogRefMut, StatementProfile, StmtResult,
     StoredArray, SYSTEM_PREFIX,
 };
 pub use parser::{parse, parse_one};

@@ -292,7 +292,6 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     // The engine-assigned session id doubles as the wire session id, so
     // a client can find its own row in `system.sessions` by `sid`.
     let session_id = session.id();
-    let stats = session.session_stats();
     if send(
         &mut stream,
         seq,
@@ -340,64 +339,79 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         };
         let closing = matches!(req, Request::Close);
 
-        reg.counter("scidb.server.requests").inc(1);
-        // Baselines for the QueryStats trailer: queue-wait lands on the
-        // session stats inside serve_request, statement work appends a
-        // trace, and the lock witness counts process-wide acquisitions.
-        let queue_wait_before = stats.queue_wait_us();
-        let traces_before = session.traces().len();
-        let locks_before = witness::stats();
-        let trace = Trace::new();
-        let span = trace.root("request", LAYER_SERVER);
-        span.set_attr("request_type", request_name(&req));
-        span.set_attr("session", session_id);
-        if let Request::Execute { statement_id, .. }
-        | Request::ExecutePrepared { statement_id, .. } = &req
-        {
-            span.set_attr("statement_id", *statement_id);
-        }
-        let outcome = serve_request(req, &shared, &mut session, &gate, &mut prepared);
-        let wall = span.finish();
-        reg.histogram("scidb.server.request_us")
-            .record(wall.as_micros() as u64);
-        drop(trace.finish());
-
-        let resp = match outcome {
-            Ok(r) => r,
-            Err(e) => {
-                reg.counter("scidb.server.errors").inc(1);
-                if matches!(e, Error::Admission(_)) {
-                    reg.counter("scidb.server.admission_rejects").inc(1);
-                    stats.add_timeout();
-                }
-                error_response(&e)
-            }
-        };
-        let trailer = (negotiated >= 1).then(|| {
-            let locks_after = witness::stats();
-            let mut t = QueryStats {
-                queue_wait_us: stats.queue_wait_us() - queue_wait_before,
-                lock_acquisitions: locks_after.acquisitions - locks_before.acquisitions,
-                lock_contended: locks_after.contended - locks_before.contended,
-                ..QueryStats::default()
-            };
-            // Statement requests appended a trace; fold its profile in.
-            if session.traces().len() > traces_before {
-                if let Some(data) = session.last_trace() {
-                    let p = StatementProfile::from_trace(data);
-                    t.exec_us = p.exec_us;
-                    t.cells_scanned = p.cells_scanned;
-                    t.bytes_decoded = p.bytes_decoded;
-                    t.cache_hit = p.cache_hit;
-                    t.retries = p.retries;
-                }
-            }
-            t
-        });
-        if send_with_trailer(&mut stream, frame.seq, &resp, trailer.as_ref()).is_err() || closing {
+        let (resp, stats) = serve_with_stats(req, &shared, &mut session, &gate, &mut prepared);
+        let trailer = (negotiated >= 1).then_some(&stats);
+        if send_with_trailer(&mut stream, frame.seq, &resp, trailer).is_err() || closing {
             return;
         }
     }
+}
+
+/// Serves one decoded request on a connection's session under a
+/// `request [server]` span and builds the response's [`QueryStats`]
+/// trailer. The statement trace the request left on the session is folded
+/// into the trailer and the session is drained, so a long-lived connection
+/// retains no trace per statement it ran.
+fn serve_with_stats(
+    req: Request,
+    shared: &Shared,
+    session: &mut Session,
+    gate: &SessionGate,
+    prepared: &mut HashMap<String, Prepared>,
+) -> (Response, QueryStats) {
+    let reg = scidb_obs::global();
+    let stats = session.session_stats();
+    reg.counter("scidb.server.requests").inc(1);
+    // Baselines for the QueryStats trailer: queue-wait lands on the
+    // session stats inside serve_request and the lock witness counts
+    // process-wide acquisitions.
+    let queue_wait_before = stats.queue_wait_us();
+    let locks_before = witness::stats();
+    let trace = Trace::new();
+    let span = trace.root("request", LAYER_SERVER);
+    span.set_attr("request_type", request_name(&req));
+    span.set_attr("session", session.id());
+    if let Request::Execute { statement_id, .. } | Request::ExecutePrepared { statement_id, .. } =
+        &req
+    {
+        span.set_attr("statement_id", *statement_id);
+    }
+    let outcome = serve_request(req, shared, session, gate, prepared);
+    let wall = span.finish();
+    reg.histogram("scidb.server.request_us")
+        .record(wall.as_micros() as u64);
+    drop(trace.finish());
+
+    let resp = match outcome {
+        Ok(r) => r,
+        Err(e) => {
+            reg.counter("scidb.server.errors").inc(1);
+            if matches!(e, Error::Admission(_)) {
+                reg.counter("scidb.server.admission_rejects").inc(1);
+                stats.add_timeout();
+            }
+            error_response(&e)
+        }
+    };
+    // A statement request left its trace on the session (drained below,
+    // so any trace there is this request's); other requests ran none.
+    let p = session
+        .last_trace()
+        .map(StatementProfile::from_trace)
+        .unwrap_or_default();
+    let locks_after = witness::stats();
+    let trailer = QueryStats {
+        queue_wait_us: stats.queue_wait_us() - queue_wait_before,
+        exec_us: p.exec_us,
+        cells_scanned: p.cells_scanned,
+        bytes_decoded: p.bytes_decoded,
+        cache_hit: p.cache_hit,
+        lock_acquisitions: locks_after.acquisitions - locks_before.acquisitions,
+        lock_contended: locks_after.contended - locks_before.contended,
+        retries: p.retries,
+    };
+    session.take_metrics();
+    (resp, trailer)
 }
 
 fn request_name(req: &Request) -> &'static str {
@@ -498,5 +512,65 @@ fn serve_request(
             timed_out: shared.admission.timed_out(),
             sessions: shared.db.session_count() as u64,
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scidb_query::Database;
+
+    /// A connection that stays open must not keep one trace per statement
+    /// it ever ran: each request's trace goes into its trailer and is gone.
+    #[test]
+    fn a_served_session_retains_no_trace_per_statement() {
+        let mut db = Database::with_threads(1);
+        db.run("define H (v = int) (X = 1:4); create A as H [4];")
+            .unwrap();
+        let shared = Shared {
+            db: db.share(),
+            auth: Arc::new(AllowAll),
+            admission: Admission::new(AdmissionConfig::default()),
+            session_inflight_limit: 4,
+            result_cache: false,
+            shutdown: AtomicBool::new(false),
+        };
+        let mut session = shared.db.session();
+        let gate = SessionGate::new(shared.session_inflight_limit);
+        let mut prepared = HashMap::new();
+        for i in 1..=32u64 {
+            let text = match i % 4 {
+                0 => "scan(A)".to_string(),
+                // One failing statement per four: errors leave a trace too.
+                1 => "scan(Missing)".to_string(),
+                _ => format!("insert into A[{}] values ({i})", i % 4 + 1),
+            };
+            let req = Request::Execute {
+                text,
+                statement_id: i,
+            };
+            let (resp, trailer) =
+                serve_with_stats(req, &shared, &mut session, &gate, &mut prepared);
+            assert_eq!(
+                matches!(resp, Response::Error { .. }),
+                i % 4 == 1,
+                "{resp:?}"
+            );
+            if i % 4 == 0 {
+                assert!(
+                    trailer.cells_scanned > 0,
+                    "the scan's trace reached the trailer"
+                );
+            }
+            assert!(
+                session.traces().len() <= 1,
+                "{} traces retained after {i} statements",
+                session.traces().len()
+            );
+        }
+        // A request that runs no statement reports no statement work.
+        let (_, trailer) =
+            serve_with_stats(Request::Ping, &shared, &mut session, &gate, &mut prepared);
+        assert_eq!((trailer.exec_us, trailer.cells_scanned), (0, 0));
     }
 }

@@ -46,6 +46,7 @@ use baseline::Baseline;
 use report::{classify, render_json, render_summary, render_text, Severity};
 use rules::Workspace;
 use scan::SourceFile;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Workspace-relative location of the committed baseline.
@@ -96,27 +97,50 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Parses every `crates/<name>/src/**/*.rs` file of one crate, with paths
+/// made workspace-relative (empty if the crate has no `src/`).
+fn crate_sources(root: &Path, name: &std::ffi::OsStr) -> std::io::Result<Vec<SourceFile>> {
+    let src = root.join("crates").join(name).join("src");
+    let mut paths = Vec::new();
+    if src.is_dir() {
+        walk(&src, &mut paths)?;
+    }
+    paths
+        .into_iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).unwrap_or(&p).to_path_buf();
+            Ok(SourceFile::new(rel, std::fs::read_to_string(&p)?))
+        })
+        .collect()
+}
+
+/// Non-blank, non-comment, non-test lines under `crates/<name>/src`, per
+/// crate: the workspace's files plus the analyzer's own, which the rules
+/// skip. The difference of two of these tables is what a simplicity change
+/// reports as lines removed.
+pub fn loc_table(root: &Path, ws: &Workspace) -> std::io::Result<BTreeMap<String, usize>> {
+    let own = crate_sources(root, "xtask".as_ref())?;
+    let mut table = BTreeMap::new();
+    for file in ws.files.iter().chain(&own) {
+        // Paths are `crates/<name>/src/…`.
+        if let Some(name) = file.path.iter().nth(1) {
+            *table
+                .entry(name.to_string_lossy().into_owned())
+                .or_default() += file.code_lines();
+        }
+    }
+    Ok(table)
+}
+
 /// Loads every `crates/*/src/**/*.rs` file (the analyzer's own crate
 /// excluded — it is tooling, not library code) plus the serial≡parallel
 /// and kill-matrix test files, with paths made workspace-relative.
 pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
-    let crates_dir = root.join("crates");
     let mut files = Vec::new();
-    for entry in std::fs::read_dir(&crates_dir)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() || entry.file_name() == "xtask" {
-            continue;
-        }
-        let src = entry.path().join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut paths = Vec::new();
-        walk(&src, &mut paths)?;
-        for p in paths {
-            let rel = p.strip_prefix(root).unwrap_or(&p).to_path_buf();
-            let raw = std::fs::read_to_string(&p)?;
-            files.push(SourceFile::new(rel, raw));
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let name = entry?.file_name();
+        if name != "xtask" {
+            files.extend(crate_sources(root, &name)?);
         }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
@@ -199,7 +223,7 @@ pub fn analyze(
     if let Some(parent) = json_path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(&json_path, render_json(&classified))?;
+    std::fs::write(&json_path, render_json(&classified, &loc_table(root, &ws)?))?;
 
     Ok(if n_err > 0 {
         Outcome::Failed

@@ -3,6 +3,7 @@
 
 use crate::baseline::{BucketStatus, Comparison};
 use crate::rules::Diagnostic;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Severity assigned after baseline comparison.
@@ -139,13 +140,15 @@ fn esc(s: &str) -> String {
 /// ```json
 /// {"tool":"xtask-analyze","errors":N,"warnings":N,
 ///  "by_rule":{"R1":{"errors":0,"warnings":10}, …},
+///  "loc":{"core":12345, …},
 ///  "diagnostics":[{"rule":"R1","severity":"error","path":"…","line":1,
 ///                  "col":1,"message":"…","help":"…"}, …]}
 /// ```
 ///
 /// `by_rule` always lists every rule (zeros included) so CI dashboards get
-/// a stable schema.
-pub fn render_json(classified: &[(Severity, Diagnostic)]) -> String {
+/// a stable schema. `loc` is [`crate::loc_table`]: non-blank, non-comment,
+/// non-test source lines per crate.
+pub fn render_json(classified: &[(Severity, Diagnostic)], loc: &BTreeMap<String, usize>) -> String {
     let n_err = classified
         .iter()
         .filter(|(s, _)| *s == Severity::Error)
@@ -173,6 +176,13 @@ pub fn render_json(classified: &[(Severity, Diagnostic)]) -> String {
             "\"{}\":{{\"errors\":{errs},\"warnings\":{warns}}}",
             rule.code()
         );
+    }
+    s.push_str("},\"loc\":{");
+    for (i, (name, lines)) in loc.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        let _ = write!(s, "\"{}\":{lines}", esc(name));
     }
     s.push_str("},\"diagnostics\":[");
     for (i, (sev, d)) in classified.iter().enumerate() {
@@ -243,7 +253,9 @@ mod tests {
             (Severity::Error, diag(Rule::R1, "a.rs", 1)),
             (Severity::Warning, diag(Rule::R3, "b\\c.rs", 2)),
         ];
-        let j = render_json(&c);
+        let loc = BTreeMap::from([("core".to_string(), 120), ("query".to_string(), 45)]);
+        let j = render_json(&c, &loc);
+        assert!(j.contains("\"loc\":{\"core\":120,\"query\":45},"), "{j}");
         assert!(j.contains("\"errors\":1"));
         assert!(j.contains("\"warnings\":1"));
         assert!(

@@ -106,6 +106,24 @@ impl SourceFile {
             .any(|&(lo, hi)| offset >= lo && offset < hi)
     }
 
+    /// Lines of non-test code: the masked line (comments and literal bodies
+    /// blanked) still has a non-blank byte, and that byte lies outside
+    /// every `#[cfg(test)]`/`#[test]` item body.
+    pub fn code_lines(&self) -> usize {
+        let mask = self.mask.as_bytes();
+        let ends = self.line_starts.iter().skip(1).copied();
+        self.line_starts
+            .iter()
+            .zip(ends.chain([mask.len()]))
+            .filter(|&(&start, end)| {
+                mask[start..end]
+                    .iter()
+                    .position(|b| !b.is_ascii_whitespace())
+                    .is_some_and(|i| !self.in_test(start + i))
+            })
+            .count()
+    }
+
     /// The `analyze: allow(rule, …)` annotation covering a 1-based line, if any
     /// (same line or the immediately preceding line).
     pub fn allow_for(&self, line: usize, rule: &str) -> Option<&AllowComment> {
@@ -600,6 +618,15 @@ mod tests {
         let f = sf("let a = r#\"panic! \"# ; let b = \"esc \\\" panic!\";\n");
         assert!(!f.mask.contains("panic"));
         assert_eq!(f.mask.len(), f.raw.len());
+    }
+
+    #[test]
+    fn code_lines_skip_blanks_comments_and_test_bodies() {
+        let f = sf("//! Docs.\n\nuse std::fmt; // trailing\n\n/// Doc.\nfn f() {\n    /* block\n       comment */\n    g();\n}\n\n\
+                    #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        f();\n    }\n}\n");
+        // `use`, `fn f() {`, `g();`, `}` and the test module's own three
+        // lines (`#[cfg(test)]`, `mod tests {`, `}`); nothing inside it.
+        assert_eq!(f.code_lines(), 7);
     }
 
     #[test]
