@@ -152,7 +152,7 @@ struct LoadRun {
 }
 
 fn run_load() -> LoadRun {
-    let locks_before = scidb_core::sync::witness::stats();
+    let locks_before = scidb_obs::sync::witness::stats();
     let db = build_engine();
     let server = Server::start(db.share(), config()).expect("server start");
     let addr = server.addr();
@@ -195,7 +195,7 @@ fn run_load() -> LoadRun {
         .expect("bench survives the load")
         .cell_count();
     server.stop();
-    let locks = scidb_core::sync::witness::stats();
+    let locks = scidb_obs::sync::witness::stats();
     LoadRun {
         latencies_us,
         errors,

@@ -1,8 +1,7 @@
 //! Shared deterministic data builders for benches and experiments.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use scidb_core::array::Array;
+use scidb_core::rng::SmallRng;
 use scidb_core::schema::SchemaBuilder;
 use scidb_core::uncertain::Uncertain;
 use scidb_core::value::{record, Record, ScalarType, Value};

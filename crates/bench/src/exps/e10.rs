@@ -107,6 +107,20 @@ pub fn run(quick: bool) -> Vec<ReportTable> {
         format!("{:.1}x", rel_q3 / arr_q3),
     ]);
     tables.push(t);
+
+    // Q4 answers from the detections `prepare` cached; this is the
+    // detection itself, over one whole cooked image.
+    let detect = || scidb_ssdb::detect(&bench.cooked[0], &Default::default()).unwrap();
+    let mut t = ReportTable::new(
+        "E10 — detection, full image (uncached)",
+        &["observations", "pixels", "ms"],
+    );
+    t.row(vec![
+        detect().len().to_string(),
+        (n * n).to_string(),
+        f3(median_ms(3, detect)),
+    ]);
+    tables.push(t);
     tables
 }
 

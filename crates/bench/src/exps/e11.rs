@@ -2,9 +2,8 @@
 //! spatial joins resolvable without data movement vs replication margin.
 
 use crate::report::{f3, ReportTable};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use scidb_core::geometry::HyperRect;
+use scidb_core::rng::SmallRng;
 use scidb_grid::{local_join_fraction, replication_overhead, PartitionScheme, ReplicatedPlacement};
 
 /// Runs E11.

@@ -2,9 +2,9 @@
 //! getting something done, but I am still trying to load my data."
 
 use crate::data::dense_f64;
-use crate::report::{f3, fmt_bytes, ReportTable};
+use crate::report::{f3, fmt_bytes, median_ms, ReportTable};
 use scidb_core::geometry::HyperRect;
-use scidb_insitu::{write_netcdf, InSituSource, NetcdfReader};
+use scidb_insitu::{write_h5, write_netcdf, write_sddf, DatasetSpec, InSituSource, NetcdfReader};
 use scidb_storage::{CodecPolicy, MemDisk, ReadOptions, StorageManager};
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,8 +86,33 @@ pub fn run(quick: bool) -> Vec<ReportTable> {
     let mut meta = ReportTable::new("E4 — source file", &["metric", "value"]);
     meta.row(vec!["file size".into(), fmt_bytes(file_bytes)]);
     meta.row(vec!["cells".into(), (n * n).to_string()]);
+
+    // The same slab through each adaptor: open + partial read, no load.
+    let h5 = dir.join("sensor.h5lt");
+    let sddf = dir.join("sensor.sddf");
+    let dataset = DatasetSpec {
+        path: "/sensor".into(),
+        array: &source,
+    };
+    write_h5(&h5, &[dataset]).unwrap();
+    write_sddf(&sddf, &source, CodecPolicy::default_policy()).unwrap();
+    let mut adaptors = ReportTable::new(
+        "E4 — one slab in situ, per adaptor (open + read_region)",
+        &["adaptor", "cells", "ms"],
+    );
+    for (label, file) in [("netcdf", &path), ("h5lite", &h5), ("sddf", &sddf)] {
+        let read = || {
+            let mut src = scidb_insitu::open(file).unwrap();
+            src.read_region(&slab(0)).unwrap().cell_count()
+        };
+        adaptors.row(vec![
+            label.into(),
+            read().to_string(),
+            f3(median_ms(3, read)),
+        ]);
+    }
     std::fs::remove_dir_all(&dir).ok();
-    vec![meta, t]
+    vec![meta, t, adaptors]
 }
 
 #[cfg(test)]
@@ -103,5 +128,11 @@ mod tests {
         // In-situ bytes for one slab are far below the file size.
         let meta = &tables[0];
         assert!(meta.rows[0][1].contains("KiB") || meta.rows[0][1].contains("MiB"));
+        // Every adaptor answers the same slab.
+        assert!(
+            tables[2].rows.iter().all(|r| r[1] == "1024"),
+            "{}",
+            tables[2]
+        );
     }
 }

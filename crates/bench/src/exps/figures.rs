@@ -1,9 +1,12 @@
-//! F1–F3: the paper's three figures, reproduced exactly.
+//! F1–F3: the paper's three figures, reproduced exactly, and the
+//! serial-vs-parallel check of the chunk-parallel kernels behind them.
 
-use crate::report::ReportTable;
+use crate::data::dense_f64;
+use crate::report::{f3, median_ms, ReportTable};
 use scidb_core::array::Array;
+use scidb_core::exec::{ExecContext, QueryMetrics};
 use scidb_core::expr::Expr;
-use scidb_core::ops;
+use scidb_core::ops::{self, AggInput};
 use scidb_core::registry::Registry;
 use scidb_core::schema::SchemaBuilder;
 use scidb_core::value::{record, ScalarType, Value};
@@ -25,8 +28,80 @@ fn render_1d(a: &Array, label: &str) -> Vec<String> {
     vec![label.to_string(), cells.join(" | ")]
 }
 
+/// Chunk-parallel kernels, serial vs machine-sized thread budget, over 256
+/// chunks. Results are verified identical before timing; the speedup needs
+/// a multi-core machine to exceed 1× — the thread count is in the title.
+fn parallel_speedup(quick: bool, registry: &Registry) -> ReportTable {
+    let a = if quick {
+        dense_f64(256, 16)
+    } else {
+        dense_f64(512, 32)
+    };
+    assert_eq!(a.chunks().len(), 256);
+    let serial = ExecContext::serial();
+    let parallel = ExecContext::new();
+    let pred = Expr::attr("v").gt(Expr::lit(50.0));
+    let filter =
+        |ctx: &ExecContext| ops::filter_with(&a, &pred, Some(registry), ctx).expect("filter");
+    let aggregate = |ctx: &ExecContext| {
+        ops::aggregate_with(&a, &["i"], "avg", AggInput::Star, registry, ctx).expect("aggregate")
+    };
+    assert_eq!(
+        filter(&serial),
+        filter(&parallel),
+        "filter depends on threads"
+    );
+    assert_eq!(
+        aggregate(&serial),
+        aggregate(&parallel),
+        "aggregate depends on threads"
+    );
+
+    // One traced parallel run per kernel supplies the per-op counts.
+    let trace = scidb_obs::Trace::new();
+    let root = trace.root("bench", scidb_obs::LAYER_CORE);
+    parallel.set_current_span(Some(root.clone()));
+    filter(&parallel);
+    aggregate(&parallel);
+    parallel.set_current_span(None);
+    root.finish();
+    let metrics = QueryMetrics::from_trace(&trace.finish());
+
+    let mut t = ReportTable::new(
+        format!(
+            "Parallel speedup over serial ({} threads, 256 chunks, identical results)",
+            parallel.threads()
+        ),
+        &[
+            "op",
+            "serial_ms",
+            "parallel_ms",
+            "speedup_x",
+            "chunks",
+            "cells",
+        ],
+    );
+    let reps = if quick { 3 } else { 5 };
+    let mut row = |op: &str, kernel: &dyn Fn(&ExecContext) -> Array| {
+        let serial_ms = median_ms(reps, || kernel(&serial));
+        let parallel_ms = median_ms(reps, || kernel(&parallel));
+        let counts = metrics.ops.iter().find(|m| m.op == op);
+        t.row(vec![
+            op.to_string(),
+            f3(serial_ms),
+            f3(parallel_ms),
+            f3(serial_ms / parallel_ms),
+            counts.map_or(0, |m| m.chunks_scanned).to_string(),
+            counts.map_or(0, |m| m.cells_touched).to_string(),
+        ]);
+    };
+    row("filter", &filter);
+    row("aggregate", &aggregate);
+    t
+}
+
 /// Runs the figure reproductions.
-pub fn run(_quick: bool) -> Vec<ReportTable> {
+pub fn run(quick: bool) -> Vec<ReportTable> {
     let registry = Registry::with_builtins();
     let mut tables = Vec::new();
 
@@ -98,6 +173,7 @@ pub fn run(_quick: bool) -> Vec<ReportTable> {
     }
     tables.push(t);
 
+    tables.push(parallel_speedup(quick, &registry));
     tables
 }
 
@@ -108,12 +184,14 @@ mod tests {
     #[test]
     fn figures_render_expected_cells() {
         let tables = run(true);
-        assert_eq!(tables.len(), 3);
+        assert_eq!(tables.len(), 4);
         let f1 = tables[0].to_string();
         assert!(f1.contains("1,1") && f1.contains("2,2"), "{f1}");
         let f2 = tables[1].to_string();
         assert!(f2.contains('4') && f2.contains('7'), "{f2}");
         let f3 = tables[2].to_string();
         assert!(f3.contains("NULL") && f3.contains("1,1"), "{f3}");
+        let par = tables[3].to_string();
+        assert!(par.contains("filter") && par.contains("65536"), "{par}");
     }
 }

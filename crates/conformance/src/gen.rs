@@ -29,8 +29,7 @@
 
 use crate::case::{AttrKind, AttrSpec, Case, CellValue, Cmp, DimSpec, OpSpec};
 use crate::optable::OP_TABLE;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use scidb_core::rng::SmallRng;
 use std::collections::BTreeSet;
 
 /// All aggregates the generator can draw from; per-site gates below

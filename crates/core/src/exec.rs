@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::error::Result;
-use crate::sync::{ranks, OrderedMutex};
+use scidb_obs::sync::{ranks, OrderedMutex};
 
 /// Metrics for one operator invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,8 +25,8 @@
 //! * **uncertainty** (§2.13) in [`uncertain`];
 //! * a small **expression language** over cell attributes in [`expr`], used
 //!   by Filter/Apply and by the query crate;
-//! * the **ranked lock wrappers** ([`sync`]) every engine crate uses in
-//!   place of raw primitives (see DESIGN.md §13).
+//! * the **seeded generator** ([`rng`]) every data and workload generator
+//!   in the workspace draws from, so a seed names one stream everywhere.
 
 #![warn(missing_docs)]
 
@@ -42,9 +42,9 @@ pub mod geometry;
 pub mod history;
 pub mod ops;
 pub mod registry;
+pub mod rng;
 pub mod schema;
 pub mod shape;
-pub mod sync;
 pub mod udf;
 pub mod uncertain;
 pub mod value;

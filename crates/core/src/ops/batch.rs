@@ -38,7 +38,7 @@
 //! result type.
 //!
 //! Byte-identity with the per-cell path is enforced by the conformance
-//! harness (six engines) and by `tests/proptest_parallel.rs`; rule R6
+//! harness (six engines) and by `proptests/tests/proptest_parallel.rs`; rule R6
 //! additionally checks that every `PARALLEL_KERNELS` entry names its batch
 //! function and that the entry file is actually wired to it.
 

@@ -56,7 +56,7 @@ pub use structural::{
 /// Checked statically by `cargo xtask analyze` (rules R2/R6): the `entry`
 /// function must exist and be the only place its file calls
 /// `try_par_map`/`par_map`, the `merge` function must be referenced from the
-/// same file, the entry must appear in `tests/proptest_parallel.rs` (the
+/// same file, the entry must appear in `proptests/tests/proptest_parallel.rs` (the
 /// serial≡parallel equivalence suite), and the `batch` function must exist
 /// in `core::ops` and be referenced from the entry's file (the columnar
 /// fast path is actually wired, not just declared).

@@ -21,8 +21,7 @@
 //!   backoff ([`MAX_RETRIES`]) before treating the node as unavailable for
 //!   the current operation.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use scidb_core::rng::SmallRng;
 use std::fmt::Write as _;
 
 /// Retries the coordinator attempts against a flaky node within one

@@ -159,8 +159,7 @@ pub fn local_join_fraction(placement: &ReplicatedPlacement, pairs: &[(Vec<i64>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use scidb_core::rng::SmallRng;
 
     fn space(n: i64) -> HyperRect {
         HyperRect::new(vec![1, 1], vec![n, n]).unwrap()

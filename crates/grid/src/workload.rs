@@ -10,9 +10,8 @@
 //! mid-equatorial pacific is not very interesting … On the other hand,
 //! during El Niño or La Niña events, it is very interesting."
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use scidb_core::geometry::HyperRect;
+use scidb_core::rng::SmallRng;
 
 /// One workload entry: a query region and how often it runs.
 #[derive(Debug, Clone, PartialEq)]

@@ -14,8 +14,9 @@
 //! small structures and takes one short-lived lock per finished span.
 //!
 //! This crate also hosts the workspace lock discipline ([`sync`]): the
-//! global lock-rank registry and the debug-only per-thread witness that
-//! every ordered lock in the engine reports to (see DESIGN.md §13).
+//! global lock-rank registry, the `std`-backed ordered mutex and rwlock
+//! every crate uses, and the debug-only per-thread witness they report to
+//! (see DESIGN.md §13).
 
 #![warn(missing_docs)]
 

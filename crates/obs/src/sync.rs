@@ -10,19 +10,21 @@
 //! contention counters stay on (two relaxed atomic adds) so load benchmarks
 //! can report them.
 //!
-//! This module is the substrate: it owns the rank table, the witness, and a
-//! `std`-backed [`OrderedMutex`] used by `scidb-obs` itself (this crate is
-//! dependency-free by design). The engine crates use the parking_lot-backed
-//! wrappers in `scidb_core::sync`, which re-export everything here and feed
-//! the same witness. The static analyzer (`cargo xtask analyze`, rules
-//! R7/R8) enforces that raw `Mutex`/`RwLock`/`Condvar` appear *only* inside
-//! the `sync.rs` wrapper modules and that the static acquisition graph is
-//! consistent with this table.
+//! This module is the one lock module of the workspace: it owns the rank
+//! table, the witness, and the `std`-backed [`OrderedMutex`] and
+//! [`OrderedRwLock`] every crate uses (this crate is dependency-free by
+//! design). The static analyzer (`cargo xtask analyze`, rules R7/R8)
+//! enforces that raw `Mutex`/`RwLock`/`Condvar` appear *only* in this file
+//! and that the static acquisition graph is consistent with this table.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::{
+    LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError,
+    TryLockResult,
+};
 
 /// A lock's position in the global acquisition order.
 ///
@@ -139,8 +141,8 @@ pub struct LockStats {
 /// [`witness::release`] pops. Release builds compile the stack away and
 /// keep only the two global counters.
 ///
-/// Guards are expected to stay on the acquiring thread (`std` and
-/// parking_lot guards are `!Send`); permits that migrate are tolerated —
+/// Guards are expected to stay on the acquiring thread (`std` guards are
+/// `!Send`); permits that migrate are tolerated —
 /// releasing a rank the current thread does not hold is a no-op.
 pub mod witness {
     use super::{AtomicU64, Cell, LockStats, Ordering, Rank, RefCell};
@@ -264,11 +266,30 @@ pub mod witness {
     }
 }
 
+/// The one acquisition path of every ranked lock: witness-check `rank`
+/// (an inversion panics in debug builds *before* blocking, so it never
+/// deadlocks), take the guard `probe` returns or `block` for it, and count
+/// the acquisition as contended if it had to block. A poisoned lock is
+/// recovered (`into_inner`): every update under an engine lock leaves the
+/// value valid at each step, so a thread that panicked holding one (a
+/// test's own panic, or a connection thread's) must not take the lock down
+/// with it.
+fn acquire<G>(
+    rank: Rank,
+    probe: impl FnOnce() -> TryLockResult<G>,
+    block: impl FnOnce() -> LockResult<G>,
+) -> OrderedGuard<G> {
+    witness::check(rank, false);
+    let (raw, contended) = match probe() {
+        Ok(g) => (g, false),
+        Err(TryLockError::Poisoned(e)) => (e.into_inner(), false),
+        Err(TryLockError::WouldBlock) => (block().unwrap_or_else(|e| e.into_inner()), true),
+    };
+    witness::acquired(rank, contended);
+    OrderedGuard { raw, rank }
+}
+
 /// A rank-checked mutex over `std::sync::Mutex`, poison-tolerant.
-///
-/// This is the `scidb-obs`-internal flavor (this crate is dependency-free);
-/// engine crates use the parking_lot-backed `scidb_core::sync::OrderedMutex`
-/// which feeds the same witness.
 #[derive(Debug)]
 pub struct OrderedMutex<T> {
     rank: Rank,
@@ -289,57 +310,75 @@ impl<T> OrderedMutex<T> {
         self.rank
     }
 
-    /// Acquires the lock, witness-checked. A poisoned inner mutex is
-    /// recovered (`into_inner`): the workspace is panic-free outside tests,
-    /// so poison can only originate from a test's own panic.
+    /// Acquires the lock, witness-checked.
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        witness::check(self.rank, false);
-        let (guard, contended) = match self.raw.try_lock() {
-            Ok(g) => (g, false),
-            Err(TryLockError::Poisoned(e)) => (e.into_inner(), false),
-            Err(TryLockError::WouldBlock) => {
-                (self.raw.lock().unwrap_or_else(|e| e.into_inner()), true)
-            }
-        };
-        witness::acquired(self.rank, contended);
-        OrderedMutexGuard {
-            raw: Some(guard),
-            rank: self.rank,
-        }
+        acquire(self.rank, || self.raw.try_lock(), || self.raw.lock())
     }
 }
 
-/// Guard for [`OrderedMutex`]; releases the witness entry on drop.
+/// A rank-checked reader-writer lock over `std::sync::RwLock`,
+/// poison-tolerant like [`OrderedMutex`].
 #[derive(Debug)]
-pub struct OrderedMutexGuard<'a, T> {
-    raw: Option<MutexGuard<'a, T>>,
+pub struct OrderedRwLock<T> {
+    rank: Rank,
+    raw: RwLock<T>,
+}
+
+impl<T> OrderedRwLock<T> {
+    /// An rwlock holding `value` at `rank`.
+    pub const fn new(rank: Rank, value: T) -> Self {
+        OrderedRwLock {
+            rank,
+            raw: RwLock::new(value),
+        }
+    }
+
+    /// This lock's rank.
+    pub const fn rank(&self) -> Rank {
+        self.rank
+    }
+
+    /// Acquires a shared read guard, witness-checked.
+    pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
+        acquire(self.rank, || self.raw.try_read(), || self.raw.read())
+    }
+
+    /// Acquires the exclusive write guard, witness-checked.
+    pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
+        acquire(self.rank, || self.raw.try_write(), || self.raw.write())
+    }
+}
+
+/// A `std` guard plus its witness entry, released together on drop.
+#[derive(Debug)]
+pub struct OrderedGuard<G> {
+    raw: G,
     rank: Rank,
 }
 
-impl<T> std::ops::Deref for OrderedMutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        match &self.raw {
-            Some(g) => g,
-            None => unreachable!("guard accessed after release"),
-        }
+/// Guard for [`OrderedMutex`].
+pub type OrderedMutexGuard<'a, T> = OrderedGuard<MutexGuard<'a, T>>;
+/// Shared guard for [`OrderedRwLock`].
+pub type OrderedRwLockReadGuard<'a, T> = OrderedGuard<RwLockReadGuard<'a, T>>;
+/// Exclusive guard for [`OrderedRwLock`].
+pub type OrderedRwLockWriteGuard<'a, T> = OrderedGuard<RwLockWriteGuard<'a, T>>;
+
+impl<G: Deref> Deref for OrderedGuard<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.raw
     }
 }
 
-impl<T> std::ops::DerefMut for OrderedMutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        match &mut self.raw {
-            Some(g) => g,
-            None => unreachable!("guard accessed after release"),
-        }
+impl<G: DerefMut> DerefMut for OrderedGuard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.raw
     }
 }
 
-impl<T> Drop for OrderedMutexGuard<'_, T> {
+impl<G> Drop for OrderedGuard<G> {
     fn drop(&mut self) {
-        if self.raw.take().is_some() {
-            witness::release(self.rank);
-        }
+        witness::release(self.rank);
     }
 }
 
@@ -433,6 +472,70 @@ mod tests {
     }
 
     #[test]
+    fn rwlock_read_write_and_witness_roundtrip() {
+        let l = OrderedRwLock::new(ranks::CATALOG, 5u32);
+        {
+            let r = l.read();
+            assert_eq!(*r, 5);
+            assert_eq!(witness::held(), vec!["CATALOG"]);
+        }
+        {
+            let mut w = l.write();
+            *w += 1;
+            assert_eq!(witness::held(), vec!["CATALOG"]);
+        }
+        assert_eq!(*l.read(), 6);
+        assert!(witness::held().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "lock-order violation")]
+    fn rank_inversion_panics_across_lock_flavors() {
+        // Same inversion shape as the R7 seeded fixture: take the higher
+        // rank first, then request a lower one.
+        let cache = OrderedRwLock::new(ranks::RESULT_CACHE, ());
+        let storage = OrderedMutex::new(ranks::STORAGE, ());
+        let _held = cache.read();
+        let _bad = storage.lock();
+    }
+
+    #[test]
+    #[should_panic(expected = "lock-order violation")]
+    fn rwlock_under_same_rank_rwlock_panics() {
+        let a = OrderedRwLock::new(ranks::CATALOG, ());
+        let b = OrderedRwLock::new(ranks::CATALOG, ());
+        let _g = a.read();
+        let _bad = b.write();
+    }
+
+    #[test]
+    fn contended_acquisitions_are_counted() {
+        use std::sync::atomic::AtomicBool;
+        let l = OrderedMutex::new(ranks::STORAGE, 0u64);
+        let attempting = AtomicBool::new(false);
+        let before = witness::stats();
+        std::thread::scope(|s| {
+            let held = l.lock();
+            s.spawn(|| {
+                attempting.store(true, Ordering::SeqCst);
+                let mut g = l.lock(); // probe fails: main thread holds it
+                *g += 1;
+            });
+            while !attempting.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            // Give the spawned thread time to run its try_lock probe
+            // against the still-held mutex before we release it.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(held);
+        });
+        let after = witness::stats();
+        assert_eq!(*l.lock(), 1);
+        assert!(after.acquisitions > before.acquisitions);
+        assert!(after.contended > before.contended, "{after:?} {before:?}");
+    }
+
+    #[test]
     fn poisoned_mutex_recovers() {
         let m = std::sync::Arc::new(OrderedMutex::new(ranks::TRACE, 7u8));
         let m2 = std::sync::Arc::clone(&m);
@@ -442,5 +545,23 @@ mod tests {
         })
         .join();
         assert_eq!(*m.lock(), 7);
+    }
+
+    /// `std` poisons an `RwLock` whose writer panicked; the catalog must
+    /// outlive a connection thread that does.
+    #[test]
+    fn a_writer_that_panics_does_not_poison_the_rwlock() {
+        let l = std::sync::Arc::new(OrderedRwLock::new(ranks::CATALOG, 1u32));
+        let l2 = std::sync::Arc::clone(&l);
+        let _ = std::thread::spawn(move || {
+            let mut w = l2.write();
+            *w = 2;
+            panic!("poison it");
+        })
+        .join();
+        assert_eq!(*l.read(), 2);
+        *l.write() += 1;
+        assert_eq!(*l.read(), 3);
+        assert!(witness::held().is_empty());
     }
 }

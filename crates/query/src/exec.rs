@@ -47,9 +47,8 @@ use scidb_core::enhance::WallClock;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::{ExecContext, QueryMetrics};
 use scidb_core::registry::Registry;
-use scidb_core::sync::{
-    ranks, OrderedMappedReadGuard, OrderedMappedWriteGuard, OrderedMutex, OrderedRwLock,
-    OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
+use scidb_obs::sync::{
+    ranks, OrderedMutex, OrderedRwLock, OrderedRwLockReadGuard, OrderedRwLockWriteGuard,
 };
 use scidb_obs::{
     RenderOptions, SlowEntry, SlowLog, Span, Trace, TraceData, EVENT_RETRY, LAYER_QUERY,
@@ -154,12 +153,47 @@ impl StmtResult {
     }
 }
 
-/// Shared read access to a stored array (released on drop).
-pub type ArrayRef<'a> = OrderedMappedReadGuard<'a, StoredArray>;
-/// Shared read access to the function registry.
-pub type RegistryRef<'a> = OrderedMappedReadGuard<'a, Registry>;
-/// Exclusive access to the function registry.
-pub type RegistryRefMut<'a> = OrderedMappedWriteGuard<'a, Registry>;
+/// Shared read access to a stored array: the catalog read guard (released
+/// on drop) and the name the array was found under while it was held.
+pub struct ArrayRef<'a> {
+    state: OrderedRwLockReadGuard<'a, CatalogState>,
+    name: String,
+}
+
+impl std::ops::Deref for ArrayRef<'_> {
+    type Target = StoredArray;
+    fn deref(&self) -> &StoredArray {
+        // `array_guard` found the name under this same read guard.
+        &self.state.arrays[&self.name]
+    }
+}
+
+/// Shared read access to the function registry (the catalog read guard).
+pub struct RegistryRef<'a>(OrderedRwLockReadGuard<'a, CatalogState>);
+
+impl std::ops::Deref for RegistryRef<'_> {
+    type Target = Registry;
+    fn deref(&self) -> &Registry {
+        &self.0.registry
+    }
+}
+
+/// Exclusive access to the function registry (the catalog write guard).
+pub struct RegistryRefMut<'a>(OrderedRwLockWriteGuard<'a, CatalogState>);
+
+impl std::ops::Deref for RegistryRefMut<'_> {
+    type Target = Registry;
+    fn deref(&self) -> &Registry {
+        &self.0.registry
+    }
+}
+
+impl std::ops::DerefMut for RegistryRefMut<'_> {
+    fn deref_mut(&mut self) -> &mut Registry {
+        &mut self.0.registry
+    }
+}
+
 /// Shared read access to the slow-query log.
 pub type SlowLogRef<'a> = OrderedRwLockReadGuard<'a, SlowLog>;
 /// Exclusive access to the slow-query log.
@@ -520,8 +554,12 @@ impl DbCore {
     }
 
     fn array_guard(&self, name: &str) -> Result<ArrayRef<'_>> {
-        OrderedRwLockReadGuard::try_map(self.state.read(), |s| s.arrays.get(name))
-            .map_err(|_| Error::not_found(format!("array '{name}'")))
+        let state = self.state.read();
+        state.stored(name)?;
+        Ok(ArrayRef {
+            state,
+            name: name.to_string(),
+        })
     }
 }
 
@@ -714,13 +752,13 @@ impl Database {
     /// The function registry (register UDFs, aggregates, enhancements,
     /// shapes here — §2.3).
     pub fn registry(&self) -> RegistryRef<'_> {
-        OrderedRwLockReadGuard::map(self.session.core.state.read(), |s| &s.registry)
+        RegistryRef(self.session.core.state.read())
     }
 
     /// Mutable registry access.
     pub fn registry_mut(&mut self) -> RegistryRefMut<'_> {
         self.session.core.touch();
-        OrderedRwLockWriteGuard::map(self.session.core.state.write(), |s| &mut s.registry)
+        RegistryRefMut(self.session.core.state.write())
     }
 
     /// Looks up a stored array (shared read access; release the guard
@@ -1036,6 +1074,33 @@ mod tests {
         // The paper's illegal predicate errors with a helpful message.
         let err = db.query("Subsample(A, X = Y)").unwrap_err();
         assert!(err.to_string().contains("not legal"), "{err}");
+    }
+
+    /// The guards `array`, `registry` and `registry_mut` hand out keep the
+    /// catalog lock (and its witness entry) until they drop.
+    #[test]
+    fn catalog_guards_hold_the_catalog_until_dropped() {
+        use scidb_obs::sync::witness;
+        let mut db = db_with_h();
+        let a = db.array("A").unwrap();
+        assert!(matches!(&*a, StoredArray::Plain(arr) if arr.cell_count() == 4));
+        assert_eq!(witness::held(), vec!["CATALOG"]);
+        drop(a);
+        assert!(witness::held().is_empty());
+        assert!(db.array("nope").is_err());
+        assert!(
+            witness::held().is_empty(),
+            "a declined lookup holds nothing"
+        );
+
+        assert!(db.registry().scalar_fn("guard_probe").is_err());
+        let mut reg = db.registry_mut();
+        assert_eq!(witness::held(), vec!["CATALOG"]);
+        let probe = scidb_core::udf::ClosureFn::new("guard_probe", Some(1), |a| Ok(a[0].clone()));
+        reg.register_scalar_fn(Arc::new(probe)).unwrap();
+        drop(reg);
+        assert!(witness::held().is_empty());
+        assert!(db.registry().scalar_fn("guard_probe").is_ok());
     }
 
     #[test]

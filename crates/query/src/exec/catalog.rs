@@ -21,9 +21,9 @@ use scidb_core::exec::ExecContext;
 use scidb_core::history::UpdatableArray;
 use scidb_core::registry::Registry;
 use scidb_core::schema::{ArraySchema, AttributeDef, DimensionDef};
-use scidb_core::sync::OrderedRwLockWriteGuard;
 use scidb_core::uncertain::Uncertain;
 use scidb_core::value::{ScalarType, Value};
+use scidb_obs::sync::OrderedRwLockWriteGuard;
 use scidb_obs::Span;
 use scidb_storage::wal::{self, Record};
 use scidb_storage::{merge_pass, CodecPolicy, Disk, MemDisk, MergeStats, StorageManager};

@@ -22,7 +22,7 @@
 //! strictly higher-ranked lock is held panics in debug builds.
 
 use scidb_core::error::{Error, Result};
-use scidb_core::sync::{ranks, witness};
+use scidb_obs::sync::{ranks, witness};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 

@@ -22,7 +22,7 @@ use crate::auth::{AllowAll, AuthHook};
 use crate::proto::{QueryStats, Request, Response, StatsFormat, PROTOCOL_VERSION};
 use crate::wire::{self, Frame};
 use scidb_core::error::{Error, Result};
-use scidb_core::sync::witness;
+use scidb_obs::sync::witness;
 use scidb_obs::{Trace, LAYER_SERVER};
 use scidb_query::{Prepared, Session, SharedDatabase, StatementProfile, StmtResult};
 use std::collections::HashMap;

@@ -181,22 +181,25 @@ fn saturated_admission_queue_rejects_with_typed_error() {
     loader.put_array("Dense", &dense).unwrap();
     // One long-running statement saturates the single slot; a second
     // session's statement is rejected rather than queued.
+    let mut prober = Client::connect(addr, "").unwrap();
     let hold = std::thread::spawn(move || {
         let mut c = Client::connect(addr, "").unwrap();
-        c.query("cjoin(Dense, Dense, Dense.v = Dense.v_r)")
-            .map(|a| a.cell_count())
-    });
-    // Wait until the holder's statement is admitted.
-    let mut saw_reject = false;
-    for _ in 0..200 {
-        let mut c = Client::connect(addr, "").unwrap();
-        match c.query("scan(A)") {
-            Err(Error::Admission(_)) => {
-                saw_reject = true;
-                break;
+        loop {
+            match c.query("cjoin(Dense, Dense, Dense.v = Dense.v_r)") {
+                Err(Error::Admission(_)) => continue, // a probe owned the slot
+                other => return other.map(|a| a.cell_count()),
             }
-            _ => std::thread::sleep(Duration::from_millis(1)),
         }
+    });
+    // Probe only once the holder's statement owns the slot, and only while
+    // it does: the first probe to arrive meets a saturated gate.
+    while server.active_statements() == 0 {
+        assert!(!hold.is_finished(), "the holder was never seen active");
+        std::thread::yield_now();
+    }
+    let mut saw_reject = false;
+    while !saw_reject && !hold.is_finished() {
+        saw_reject = matches!(prober.query("scan(A)"), Err(Error::Admission(_)));
     }
     let held = hold.join().unwrap();
     assert!(held.is_ok(), "holder must finish cleanly: {held:?}");

@@ -14,10 +14,9 @@
 //! flattened relational weblog the paper says cannot keep up; experiment E9
 //! compares the two on the paper's own analyses.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use scidb_core::array::Array;
 use scidb_core::error::Result;
+use scidb_core::rng::SmallRng;
 use scidb_core::schema::{ArraySchema, SchemaBuilder};
 use scidb_core::value::{record, ScalarType, Value};
 use scidb_relational::{ColumnDef, Table};

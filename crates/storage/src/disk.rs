@@ -8,7 +8,7 @@
 //! applies to the physical layer too: updates land in new blocks.
 
 use scidb_core::error::{Error, Result};
-use scidb_core::sync::{ranks, OrderedMutex};
+use scidb_obs::sync::{ranks, OrderedMutex};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};

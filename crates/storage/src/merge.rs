@@ -8,15 +8,15 @@
 //! (`factor ×` the schema's chunk stride) containing their origin; each
 //! group with more than one bucket is rewritten as a single bucket covering
 //! the union rectangle. [`BackgroundMerger`] runs passes on a worker thread
-//! over a shared manager, communicating over a crossbeam channel.
+//! over a shared manager, communicating over a bounded `std` channel.
 
 use crate::manager::StorageManager;
-use crossbeam::channel::{bounded, Sender};
 use scidb_core::chunk::Chunk;
 use scidb_core::error::Result;
 use scidb_core::geometry::chunk_origin;
-use scidb_core::sync::OrderedMutex;
+use scidb_obs::sync::OrderedMutex;
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -108,16 +108,16 @@ enum Command {
 
 /// A background merge thread over a shared storage manager.
 pub struct BackgroundMerger {
-    tx: Sender<Command>,
+    tx: SyncSender<Command>,
     handle: Option<JoinHandle<Vec<MergeStats>>>,
 }
 
 impl BackgroundMerger {
     /// Spawns the merger thread over a shared manager. Construct the lock
-    /// at [`scidb_core::sync::ranks::MERGE`]: the pass acquires the
+    /// at [`scidb_obs::sync::ranks::MERGE`]: the pass acquires the
     /// manager and then the disk's `STORAGE`-ranked stats locks under it.
     pub fn spawn(mgr: Arc<OrderedMutex<StorageManager>>) -> Self {
-        let (tx, rx) = bounded::<Command>(16);
+        let (tx, rx) = sync_channel::<Command>(16);
         // analyze: allow(R3, dedicated background merge worker joined on Drop)
         let handle = std::thread::spawn(move || {
             let mut results = Vec::new();
@@ -261,7 +261,7 @@ mod tests {
     #[test]
     fn background_merger_runs_passes() {
         let mgr = Arc::new(OrderedMutex::new(
-            scidb_core::sync::ranks::MERGE,
+            scidb_obs::sync::ranks::MERGE,
             loaded_manager(),
         ));
         let merger = BackgroundMerger::spawn(Arc::clone(&mgr));

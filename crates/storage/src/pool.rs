@@ -24,7 +24,7 @@ use crate::disk::{BlockId, Disk, IoStats};
 use crate::page::{PageFile, PAGE_CAPACITY};
 use crate::wal::Record;
 use scidb_core::error::{Error, Result};
-use scidb_core::sync::{ranks, OrderedMutex};
+use scidb_obs::sync::{ranks, OrderedMutex};
 use scidb_obs::Counter;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;

@@ -6,7 +6,7 @@
 //!   * R1 — panic-free library code,
 //!   * R2 — the parallel-kernel contract,
 //!   * R3 — concurrency containment (threads and raw mutexes only in the
-//!     `sync.rs` wrapper modules, per-site annotations elsewhere),
+//!     one lock module, per-site annotations elsewhere),
 //!   * R4 — Result-typed public API,
 //!   * R5 — observable timing (no raw clock reads in query/storage/grid),
 //!   * R6 — conformance coverage (every parallel kernel in the
@@ -144,7 +144,7 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
         }
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
-    let parallel_test = std::fs::read_to_string(root.join("tests/proptest_parallel.rs")).ok();
+    let parallel_test = std::fs::read_to_string(root.join(rules::PARALLEL_TEST_FILE)).ok();
     let recovery_test = std::fs::read_to_string(root.join(rules::RECOVERY_TEST_FILE)).ok();
     Ok(Workspace {
         files,

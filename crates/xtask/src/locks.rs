@@ -20,7 +20,7 @@
 //!
 //! **R7** (lock-order soundness) fails on any acquisition edge that does not
 //! strictly ascend in rank, and on any raw `RwLock`/`Condvar` outside the
-//! `sync.rs` wrapper modules (raw `Mutex` and `thread::spawn` stay with R3).
+//! one lock module (raw `Mutex` and `thread::spawn` stay with R3).
 //! **R8** (no blocking while locked) fails on blocking operations — file
 //! I/O, channel receives, timed waits, sleeps, accepts, statement execution
 //! — lexically inside the live range of a write-exclusive guard ranked
@@ -41,10 +41,11 @@ use crate::scan::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// True for lock-wrapper modules: any `sync.rs` source file. Wrapper files
-/// own the raw primitives and are excluded from R3/R7/R8 scanning.
+/// True for the workspace's one lock module, `crates/obs/src/sync.rs`: it
+/// owns the raw primitives and is excluded from R3/R7/R8 scanning. Any
+/// other file — a second `sync.rs` included — is engine code.
 pub fn is_wrapper_file(path: &Path) -> bool {
-    path.file_name().is_some_and(|f| f == "sync.rs")
+    path.ends_with("crates/obs/src/sync.rs")
 }
 
 /// The parsed `lock_ranks!` registry: `NAME -> level`.
@@ -605,7 +606,7 @@ pub fn check_r7(ws: &Workspace) -> Vec<Diagnostic> {
                     Rule::R7,
                     off,
                     format!("raw `{pat}` outside the sync wrapper module"),
-                    "use the ranked wrappers in `scidb_core::sync` (every lock carries a \
+                    "use the ranked locks in `scidb_obs::sync` (every lock carries a \
                      rank from the `lock_ranks!` registry); if a raw primitive is \
                      unavoidable, annotate `// analyze: allow(R7, why)`",
                 ));
@@ -877,15 +878,23 @@ impl S {
     }
 
     #[test]
-    fn r7_flags_raw_rwlock_outside_wrappers_only() {
+    fn r7_flags_raw_rwlock_outside_the_one_lock_module() {
         let src = "use std::sync::RwLock;\nstruct S { c: Condvar }\n";
         let w = ws(vec![
             ("crates/core/src/x.rs", src),
             ("crates/core/src/sync.rs", src),
+            ("crates/obs/src/sync.rs", src),
         ]);
         let d = check_r7(&w);
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|x| x.path.ends_with("x.rs")), "{d:?}");
+        assert_eq!(d.len(), 4, "{d:?}");
+        // A stray second `sync.rs` is flagged like any other file.
+        assert_eq!(
+            d.iter()
+                .filter(|x| x.path.ends_with("core/src/sync.rs"))
+                .count(),
+            2
+        );
+        assert!(d.iter().all(|x| !x.path.contains("obs")), "{d:?}");
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   `core::ops::PARALLEL_KERNELS` with a named merge function and appear
 //!   in the serial≡parallel equivalence tests; no parallel fan-out outside
 //!   `core::ops` (escape hatch: `// analyze: allow(R2, justification)`).
-//! * **R3** — no `thread::spawn` or raw `Mutex` outside the `sync.rs`
-//!   wrapper modules; concurrency goes through `ExecContext` and the ranked
-//!   lock wrappers. Every exception is a per-site annotation:
+//! * **R3** — no `thread::spawn` or raw `Mutex` outside the one lock module
+//!   (`crates/obs/src/sync.rs`); concurrency goes through `ExecContext` and
+//!   the ranked locks. Every exception is a per-site annotation:
 //!   `// analyze: allow(R3, justification)`.
 //! * **R4** — public API of `core`/`query` returns `Result` with the crate
 //!   error type; `Option`-swallowed errors (`.ok()` inside a
@@ -164,7 +164,7 @@ pub struct Diagnostic {
 pub struct Workspace {
     /// All `crates/*/src/**/*.rs` files (the analyzer's own crate excluded).
     pub files: Vec<SourceFile>,
-    /// Content of `tests/proptest_parallel.rs`, if present.
+    /// Content of [`PARALLEL_TEST_FILE`], if present.
     pub parallel_test: Option<String>,
     /// Content of `tests/recovery.rs` (the kill-matrix harness R10
     /// cross-checks against), if present.
@@ -198,6 +198,9 @@ pub const SERVER_FILE: &str = "crates/server/src/server.rs";
 
 /// The write-ahead-log definition (R10 parses its `Record` enum).
 pub const WAL_FILE: &str = "crates/storage/src/wal.rs";
+
+/// The serial≡parallel equivalence properties (R2's coverage target).
+pub const PARALLEL_TEST_FILE: &str = "proptests/tests/proptest_parallel.rs";
 
 /// The kill-matrix recovery harness (R10's coverage target).
 pub const RECOVERY_TEST_FILE: &str = "tests/recovery.rs";
@@ -464,14 +467,15 @@ pub fn check_r2(ws: &Workspace) -> Vec<Diagnostic> {
         match &ws.parallel_test {
             None => diags.push(manifest_diag(
                 e,
-                "tests/proptest_parallel.rs not found — serial≡parallel equivalence tests \
-                 are required"
-                    .to_string(),
+                format!(
+                    "{PARALLEL_TEST_FILE} not found — serial≡parallel equivalence tests are \
+                     required"
+                ),
             )),
             Some(test) if !test.contains(&e.entry) => diags.push(manifest_diag(
                 e,
                 format!(
-                    "kernel `{}` ({}) is not exercised by tests/proptest_parallel.rs",
+                    "kernel `{}` ({}) is not exercised by {PARALLEL_TEST_FILE}",
                     e.name, e.entry
                 ),
             )),
@@ -493,7 +497,7 @@ fn manifest_diag(e: &ManifestEntry, message: String) -> Diagnostic {
     }
 }
 
-/// R3: threads and raw mutexes live in the `sync.rs` wrapper modules only;
+/// R3: threads and raw mutexes live in the one lock module only;
 /// everything else is a per-site annotation.
 pub fn check_r3(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -522,9 +526,9 @@ pub fn check_r3(ws: &Workspace) -> Vec<Diagnostic> {
                 file,
                 Rule::R3,
                 off,
-                format!("{label} outside the sync wrapper modules"),
+                format!("{label} outside the lock module"),
                 "route concurrency through `ExecContext` (`par_map`/`try_par_map`) and \
-                 the ranked locks in `scidb_core::sync`; if this component must own a \
+                 the ranked locks in `scidb_obs::sync`; if this component must own a \
                  thread or raw lock, annotate `// analyze: allow(R3, why)`",
             ));
         }
@@ -1070,7 +1074,7 @@ mod tests {
     }
 
     #[test]
-    fn r3_flags_spawn_and_mutex_everywhere_but_wrapper_files() {
+    fn r3_flags_spawn_and_mutex_everywhere_but_the_lock_module() {
         let src = "use std::sync::Mutex;\nfn go() { std::thread::spawn(|| {}); }\n";
         let d = check_r3(&ws(
             vec![
@@ -1081,8 +1085,18 @@ mod tests {
             ],
             None,
         ));
-        assert_eq!(d.len(), 4, "{d:?}");
-        assert!(d.iter().all(|x| !x.path.ends_with("sync.rs")), "{d:?}");
+        assert_eq!(d.len(), 6, "{d:?}");
+        // A stray second `sync.rs` is flagged like any other file.
+        assert_eq!(
+            d.iter()
+                .filter(|x| x.path.ends_with("core/src/sync.rs"))
+                .count(),
+            2
+        );
+        assert!(
+            d.iter().all(|x| !x.path.ends_with("obs/src/sync.rs")),
+            "{d:?}"
+        );
     }
 
     #[test]

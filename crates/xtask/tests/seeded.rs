@@ -39,8 +39,9 @@ fn scaffold(name: &str) -> PathBuf {
         "crates/core/src/ops",
         "crates/query/src",
         "crates/conformance/src",
+        "crates/obs/src",
         "crates/xtask",
-        "tests",
+        "proptests/tests",
     ] {
         fs::create_dir_all(root.join(dir)).expect("mkdir");
     }
@@ -55,7 +56,7 @@ fn scaffold(name: &str) -> PathBuf {
     )
     .expect("write");
     fs::write(
-        root.join("tests/proptest_parallel.rs"),
+        root.join("proptests/tests/proptest_parallel.rs"),
         "// exercises filter_with\n",
     )
     .expect("write");
@@ -197,8 +198,8 @@ fn update_baseline_ratchets_and_writes_json_report() {
     assert!(report.contains("\"rule\":\"R1\""), "{report}");
 }
 
-/// A synthetic rank registry: written as `sync.rs` so the scaffold file is
-/// itself wrapper-exempt, exactly like the real `crates/obs/src/sync.rs`.
+/// A synthetic rank registry, written where the real one lives
+/// (`crates/obs/src/sync.rs`) so the scaffold file is itself exempt.
 const RANK_REGISTRY: &str = "
 pub mod ranks {
     lock_ranks! {
@@ -212,7 +213,7 @@ pub mod ranks {
 #[test]
 fn seeded_lock_cycle_fails_r7_naming_both_ranks() {
     let root = scaffold("seeded_r7_cycle");
-    fs::write(root.join("crates/core/src/sync.rs"), RANK_REGISTRY).expect("write");
+    fs::write(root.join("crates/obs/src/sync.rs"), RANK_REGISTRY).expect("write");
     fs::write(
         root.join("crates/core/src/cycle.rs"),
         "pub struct S { lo: OrderedMutex<u8>, hi: OrderedMutex<u8> }\n\
@@ -240,7 +241,7 @@ fn seeded_lock_cycle_fails_r7_naming_both_ranks() {
 #[test]
 fn seeded_raw_rwlock_fails_r7_outside_wrappers() {
     let root = scaffold("seeded_r7_raw");
-    fs::write(root.join("crates/core/src/sync.rs"), RANK_REGISTRY).expect("write");
+    fs::write(root.join("crates/obs/src/sync.rs"), RANK_REGISTRY).expect("write");
     fs::write(
         root.join("crates/query/src/raw.rs"),
         "use std::sync::RwLock;\npub struct S { inner: RwLock<u8> }\n",
@@ -260,7 +261,7 @@ fn seeded_raw_rwlock_fails_r7_outside_wrappers() {
 #[test]
 fn seeded_blocking_under_write_guard_fails_r8() {
     let root = scaffold("seeded_r8");
-    fs::write(root.join("crates/core/src/sync.rs"), RANK_REGISTRY).expect("write");
+    fs::write(root.join("crates/obs/src/sync.rs"), RANK_REGISTRY).expect("write");
     fs::write(
         root.join("crates/query/src/ddl.rs"),
         "pub struct S { state: OrderedRwLock<u8> }\n\

@@ -1,38 +1,13 @@
 //! Failure injection: corrupt files, truncated payloads, and byte flips
 //! must surface as `Err` — never as panics or silently wrong data.
 
-use proptest::prelude::*;
 use scidb::insitu::{write_h5, write_netcdf, write_sddf, DatasetSpec};
 use scidb::storage::wal::{self, Record};
 use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
 use scidb::{Array, Error, ScalarType, SchemaBuilder, Value};
 
 include!("support/hostile_images.rs");
-
-fn sample(n: i64) -> Array {
-    let schema = SchemaBuilder::new("s")
-        .attr("v", ScalarType::Float64)
-        .attr("n", ScalarType::Int64)
-        .dim_chunked("x", n, 8)
-        .dim_chunked("y", n, 8)
-        .build()
-        .unwrap();
-    let mut a = Array::new(schema);
-    a.fill_with(|c| {
-        vec![
-            Value::from((c[0] * 100 + c[1]) as f64),
-            Value::from(c[0] - c[1]),
-        ]
-    })
-    .unwrap();
-    a
-}
-
-fn tmp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("scidb_fi_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
+include!("support/failure_fixtures.rs");
 
 #[test]
 fn truncated_buckets_error_at_every_length() {
@@ -48,66 +23,8 @@ fn truncated_buckets_error_at_every_length() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// A single byte flip in a bucket payload either errors or decodes to
-    /// *some* chunk — it never panics. (Bit flips in value payloads can be
-    /// silent; headers and structure must stay robust.)
-    #[test]
-    fn bucket_byte_flips_never_panic(pos_frac in 0.0f64..1.0, delta in 1u8..=255) {
-        let a = sample(8);
-        let chunk = a.chunks().values().next().unwrap();
-        let mut bytes = serialize_chunk(chunk, CodecPolicy::default_policy()).unwrap();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        let _ = deserialize_chunk(&bytes);
-    }
-
-    /// The same property for every in-situ format reader.
-    #[test]
-    fn insitu_byte_flips_never_panic(
-        which in 0usize..3,
-        pos_frac in 0.0f64..1.0,
-        delta in 1u8..=255,
-    ) {
-        let dir = tmp_dir("flip");
-        let a = {
-            let schema = SchemaBuilder::new("f")
-                .attr("v", ScalarType::Float64)
-                .dim_chunked("x", 8, 8)
-                .dim_chunked("y", 8, 8)
-                .build()
-                .unwrap();
-            let mut a = Array::new(schema);
-            a.fill_with(|c| vec![Value::from((c[0] + c[1]) as f64)]).unwrap();
-            a
-        };
-        let path = dir.join(format!("flip_{which}.bin"));
-        match which {
-            0 => {
-                write_netcdf(&path, &a, &[]).unwrap();
-            }
-            1 => {
-                write_h5(&path, &[DatasetSpec { path: "/d".into(), array: &a }]).unwrap();
-            }
-            _ => {
-                write_sddf(&path, &a, CodecPolicy::default_policy()).unwrap();
-            }
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        std::fs::write(&path, &bytes).unwrap();
-        // Open + full read: any Err is fine; panics are not.
-        if let Ok(mut src) = scidb::insitu::open(&path) {
-            let _ = src.read_all();
-        }
-    }
-}
-
-/// Pinned regressions from `failure_injection.proptest-regressions`: the
-/// shrunk byte-flip cases that once panicked in the h5 and sddf readers.
+/// Pinned regressions from `proptests/tests/failure_injection.proptest-regressions`:
+/// the shrunk byte-flip cases that once panicked in the h5 and sddf readers.
 #[test]
 fn pinned_insitu_byte_flip_regressions() {
     for (which, pos_frac, delta) in [

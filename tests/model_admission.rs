@@ -409,7 +409,7 @@ fn real_threads_timeout_leaves_no_queue_residue() {
 /// nothing is left held afterwards.
 #[test]
 fn witness_counts_permit_slots_and_releases_them() {
-    use scidb_core::sync::witness;
+    use scidb_obs::sync::witness;
 
     let before = witness::stats();
     let session = SessionGate::new(2);
