@@ -1,18 +1,22 @@
 //! E1 — the ASAP claim (§2.1): "the performance penalty of simulating
 //! arrays on top of tables was around two orders of magnitude."
 //!
-//! Identical logical queries run against the array engine's positional
-//! kernels ([`scidb_core::ops::dense`]) and the table simulation
-//! ([`scidb_relational::ArrayTable`], with its composite B-tree dimension
-//! index): dimension slice, slab sum, regrid, and structural self-join.
-//! Both sides compute the same answers; the asymmetry is purely
-//! architectural — positional/columnar vs value-based/tuple-at-a-time.
+//! Identical logical queries run against the array engine — as the AQL
+//! text a user would send, through [`Database::query`] on a serial
+//! in-memory database (parse, plan, scan, kernel) — and the table
+//! simulation ([`scidb_relational::ArrayTable`], with its composite B-tree
+//! dimension index): dimension slice, slab sum, regrid, and structural
+//! self-join. Both sides must compute the same answer before either is
+//! timed; the asymmetry is architectural — positional/columnar vs
+//! value-based/tuple-at-a-time.
 
 use crate::data::dense_f64;
 use crate::report::{f3, median_ms, ReportTable};
+use scidb_core::array::Array;
 use scidb_core::geometry::HyperRect;
-use scidb_core::ops::dense;
 use scidb_core::registry::Registry;
+use scidb_core::value::Value;
+use scidb_query::Database;
 use scidb_relational::ArrayTable;
 use std::hint::black_box;
 
@@ -25,71 +29,82 @@ pub fn run(quick: bool) -> Vec<ReportTable> {
     };
     let registry = Registry::with_builtins();
     let mut t = ReportTable::new(
-        "E1 — array-native vs array-on-tables (ASAP ~100x claim)",
-        &["n", "query", "native ms", "relational ms", "speedup"],
+        "E1 — array engine through AQL vs array-on-tables (ASAP ~100x claim)",
+        &["n", "query", "AQL ms", "relational ms", "speedup"],
     );
     for &n in sizes {
         let reps = if n <= 256 { 7 } else { 3 };
         let a = dense_f64(n, 64);
         let table = ArrayTable::from_array(&a).expect("simulate");
+        let mut db = Database::with_threads(1);
+        db.put_array("A", a).expect("register");
+        let mut aql = |text: &str| db.query(text).expect(text);
 
         // (a) dimension slices. The leading dimension is where the
         // relational B-tree index is clustered (its best case); the
         // trailing dimension exposes the asymmetry arrays don't have.
-        for (label, dim, dim_name) in [("slice lead", 0usize, "i"), ("slice trail", 1, "j")] {
-            let native = median_ms(reps, || {
-                dense::slice_values_f64(black_box(&a), 0, dim, n / 2)
-                    .unwrap()
-                    .iter()
-                    .sum::<f64>()
-            });
-            let rel = median_ms(reps, || {
-                table
-                    .slice(dim_name, n / 2)
-                    .unwrap()
-                    .iter()
-                    .filter_map(|row| row.last().and_then(|v| v.as_f64()))
-                    .sum::<f64>()
-            });
-            push(&mut t, n, label, native, rel);
+        for (label, dim) in [("slice lead", "i"), ("slice trail", "j")] {
+            let text = format!("subsample(A, {dim} = {})", n / 2);
+            let rel = || sum_last(&table.slice(dim, n / 2).unwrap());
+            agree(&text, sum_v(&aql(&text)), rel());
+            let native = median_ms(reps, || sum_v(&aql(black_box(&text))));
+            push(&mut t, n, label, native, median_ms(reps, rel));
         }
 
         // (b) slab sum: the central 1/4 × 1/4 region.
-        let region = HyperRect::new(vec![n / 4, n / 4], vec![n / 2, n / 2]).unwrap();
-        let native = median_ms(reps, || {
-            dense::slab_sum_f64(black_box(&a), 0, &region).unwrap()
-        });
-        let rel = median_ms(reps, || {
-            table
-                .slab(&region)
-                .unwrap()
-                .iter()
-                .filter_map(|row| row.last().and_then(|v| v.as_f64()))
-                .sum::<f64>()
-        });
-        push(&mut t, n, "slab", native, rel);
+        let (lo, hi) = (n / 4, n / 2);
+        let text = format!(
+            "aggregate(subsample(A, i >= {lo} and i <= {hi} and j >= {lo} and j <= {hi}), {{}}, sum(v))"
+        );
+        let region = HyperRect::new(vec![lo, lo], vec![hi, hi]).unwrap();
+        let rel = || sum_last(&table.slab(&region).unwrap());
+        agree(&text, sum_v(&aql(&text)), rel());
+        let native = median_ms(reps, || sum_v(&aql(black_box(&text))));
+        push(&mut t, n, "slab", native, median_ms(reps, rel));
 
-        // (c) regrid 8×8 average.
-        let native = median_ms(reps, || {
-            dense::regrid_mean_f64(black_box(&a), 0, &[8, 8]).unwrap()
-        });
-        let rel = median_ms(reps, || {
-            table.regrid(&[8, 8], "avg", "v", &registry).unwrap()
-        });
-        push(&mut t, n, "regrid 8x8", native, rel);
+        // (c) regrid 8×8 average: as many blocks, and the same total of
+        // block averages, on both sides.
+        let text = "regrid(A, [8, 8], avg)";
+        let rel = || table.regrid(&[8, 8], "avg", "v", &registry).unwrap();
+        let (grid, rows) = (aql(text), rel());
+        assert_eq!(grid.cell_count(), rows.len(), "{text}: block count");
+        let rel_rows: Vec<&[Value]> = rows.rows().iter().map(Vec::as_slice).collect();
+        agree(text, sum_v(&grid), sum_last(&rel_rows));
+        let native = median_ms(reps, || aql(black_box(text)));
+        push(&mut t, n, "regrid 8x8", native, median_ms(reps, rel));
 
         // (d) structural self-join on all dimensions (co-aligned inputs:
-        // the array side is a positional column concatenation; the
-        // relational side must hash-join on the dimension columns).
+        // `sjoin` concatenates columns chunk by chunk; the relational side
+        // must hash-join on the dimension columns).
         if n <= 512 {
-            let native = median_ms(reps.min(3), || {
-                dense::aligned_sjoin(black_box(&a), black_box(&a)).unwrap()
-            });
-            let rel = median_ms(reps.min(3), || table.sjoin_all_dims(&table).unwrap());
-            push(&mut t, n, "sjoin", native, rel);
+            let text = "sjoin(A, A, i = i and j = j)";
+            let rel = || table.sjoin_all_dims(&table).unwrap();
+            assert_eq!(aql(text).cell_count(), rel().len(), "{text}: row count");
+            let native = median_ms(reps.min(3), || aql(black_box(text)));
+            push(&mut t, n, "sjoin", native, median_ms(reps.min(3), rel));
         }
     }
     vec![t]
+}
+
+/// Sum of the first attribute over every cell of an AQL answer.
+fn sum_v(a: &Array) -> f64 {
+    a.cells().filter_map(|(_, r)| r[0].as_f64()).sum()
+}
+
+/// Sum of the last column (the attribute) over relational rows.
+fn sum_last(rows: &[&[Value]]) -> f64 {
+    rows.iter()
+        .filter_map(|row| row.last().and_then(Value::as_f64))
+        .sum()
+}
+
+/// Asserts the two engines' answers agree to a relative 1e-9.
+fn agree(query: &str, aql: f64, rel: f64) {
+    assert!(
+        (aql - rel).abs() <= 1e-9 * rel.abs().max(1.0),
+        "{query}: AQL {aql} vs relational {rel}"
+    );
 }
 
 fn push(t: &mut ReportTable, n: i64, query: &str, native: f64, rel: f64) {
@@ -121,20 +136,18 @@ mod tests {
                 .unwrap()
         };
         // Slab, regrid, trailing-dimension slice, and join all favor the
-        // array engine; the join by orders of magnitude (positional vs
-        // hash). The leading-dimension slice is the B-tree's best case and
-        // is allowed to reach parity.
-        assert!(speedup("slab") > 5.0, "slab {}", speedup("slab"));
-        assert!(
-            speedup("regrid 8x8") > 2.0,
-            "regrid {}",
-            speedup("regrid 8x8")
-        );
-        assert!(
-            speedup("slice trail") > 5.0,
-            "trailing slice {}",
-            speedup("slice trail")
-        );
-        assert!(speedup("sjoin") > 50.0, "sjoin {}", speedup("sjoin"));
+        // array engine. The leading-dimension slice is the B-tree's best
+        // case and is exempt. Measured through AQL at n = 256, release and
+        // debug builds alike: slice trail >= 4.4x, slab >= 2.3x, regrid
+        // >= 1.3x, sjoin >= 220x. Each floor is about half the lowest of
+        // those; regrid's half would be below parity, so it is parity.
+        for (query, floor) in [
+            ("slice trail", 2.0),
+            ("slab", 1.1),
+            ("regrid 8x8", 1.0),
+            ("sjoin", 100.0),
+        ] {
+            assert!(speedup(query) > floor, "{query} {}", speedup(query));
+        }
     }
 }

@@ -494,8 +494,8 @@ pub(crate) fn project_columns(
 
 /// Batch subsample over one dense chunk: evaluates each dimension
 /// condition once per distinct index value into per-dimension allow
-/// tables, then intersects them with the presence bitmap. Returns the
-/// output chunk and the number of present cells visited. Bails on sparse
+/// tables, then visits only the cells they allow. Returns the output
+/// chunk and the number of present cells visited. Bails on sparse
 /// chunks and on `Fn` conditions (UDFs need the registry and can error).
 pub(crate) fn subsample_columns(
     chunk: &Chunk,
@@ -526,19 +526,21 @@ pub(crate) fn subsample_columns(
             }
         }
     }
-    let n = chunk.capacity();
-    let mut mask = BitVec::filled(n, false);
+    // The row-major offsets every dimension allows: only these cells are
+    // visited, so a slice touches its own cells and no others.
+    let mut idxs = vec![0usize];
+    for allow in &allowed {
+        let offs: Vec<usize> = (0..allow.len()).filter(|&o| allow[o]).collect();
+        idxs = idxs
+            .iter()
+            .flat_map(|&base| offs.iter().map(move |&o| base * allow.len() + o))
+            .collect();
+    }
+    let mut mask = BitVec::filled(chunk.capacity(), false);
     let mut cells = 0u64;
-    for idx in present.iter_ones() {
-        cells += 1;
-        let mut rem = idx;
-        let mut keep = true;
-        for d in (0..rank).rev() {
-            let len = rect.len(d) as usize;
-            keep &= allowed[d][rem % len];
-            rem /= len;
-        }
-        if keep {
+    for idx in idxs {
+        if present.get(idx) {
+            cells += 1;
             mask.set(idx, true);
         }
     }

@@ -10,10 +10,13 @@
 //!   stored in the input array": Filter, Aggregate, Cjoin, Apply, Project.
 //! * [`regrid`] — the canonical user-extendable science operation (§2.3):
 //!   "science users wish to regrid arrays".
-//! * [`dense`] — vectorized positional kernels over dense columnar chunks:
-//!   the physical operators that realize the §2.1 array-over-tables
-//!   advantage (contiguous slab scans, arithmetic regrid, hash-free
-//!   co-aligned joins).
+//!
+//! Each operator has one kernel. Where chunks are dense the chunk-parallel
+//! kernels run column-at-a-time (the `batch` module), and
+//! [`sjoin`](structural::sjoin) picks its own path from the two schemas:
+//! co-aligned inputs join chunk by chunk as a column concatenation (the
+//! §2.1 array-over-tables advantage), every other join hashes
+//! ([`structural::sjoin_is_aligned`]).
 //!
 //! # The parallel-kernel contract
 //!
@@ -29,7 +32,6 @@
 
 pub(crate) mod batch;
 pub mod content;
-pub mod dense;
 pub mod regrid;
 pub mod structural;
 

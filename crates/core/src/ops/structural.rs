@@ -5,6 +5,7 @@
 //! rectangle arithmetic wherever possible.
 
 use crate::array::Array;
+use crate::chunk::Chunk;
 use crate::error::{Error, Result};
 use crate::geometry::{Coords, HyperRect};
 use crate::registry::Registry;
@@ -176,20 +177,20 @@ pub fn subsample_with(
     let start = std::time::Instant::now();
     pred.validate(a.schema())?;
     // Structural pruning: skip chunks whose rectangle cannot match.
-    let survivors: Vec<&crate::chunk::Chunk> = a
+    let survivors: Vec<&Chunk> = a
         .chunks()
         .values()
         .filter(|chunk| pred.narrow_rect(a.schema(), chunk.rect()).is_some())
         .collect();
     let results = ctx.try_par_map(&survivors, |chunk| {
         // Columnar fast path: a conjunctive dimension predicate over a dense
-        // chunk reduces to per-dimension lookup tables and one pass over the
-        // presence bitmap — no record materialization. Bails (None) on
+        // chunk reduces to per-dimension lookup tables that pick the cells
+        // to visit — no record materialization. Bails (None) on
         // `DimCond::Fn` (which can error and needs the registry).
         if let Some((oc, cells)) = super::batch::subsample_columns(chunk, a.schema(), pred) {
             return Ok((oc, cells));
         }
-        let mut oc = crate::chunk::Chunk::new(chunk.rect().clone(), chunk.attr_types());
+        let mut oc = Chunk::new(chunk.rect().clone(), chunk.attr_types());
         let mut cells = 0u64;
         for (coords, idx) in chunk.iter_present() {
             cells += 1;
@@ -319,6 +320,9 @@ fn join_dims(a: &ArraySchema, b: &ArraySchema, drop_b: &[usize]) -> Vec<Dimensio
 /// `on` pairs `(a_dim, b_dim)`. For an m-D and an n-D input joined on k
 /// dimension pairs, the result is (m + n − k)-dimensional "with concatenated
 /// cell tuples wherever the JOIN-predicate is true" — Figure 1.
+///
+/// Co-aligned inputs ([`sjoin_is_aligned`]) join chunk by chunk, by
+/// position; all others through a hash table on B's join dimensions.
 pub fn sjoin(a: &Array, b: &Array, on: &[(&str, &str)]) -> Result<Array> {
     if on.is_empty() {
         return Err(Error::dimension(
@@ -342,6 +346,9 @@ pub fn sjoin(a: &Array, b: &Array, on: &[(&str, &str)]) -> Result<Array> {
         join_attrs(a.schema(), b.schema()),
         join_dims(a.schema(), b.schema(), &b_dims),
     )?;
+    if sjoin_is_aligned(a.schema(), b.schema(), on) {
+        return sjoin_chunks(a, b, out_schema);
+    }
     let mut out = Array::new(out_schema);
 
     // Hash B on its join-dimension values.
@@ -366,6 +373,74 @@ pub fn sjoin(a: &Array, b: &Array, on: &[(&str, &str)]) -> Result<Array> {
             let mut out_rec = rec.clone();
             out_rec.extend(b_rec.iter().cloned());
             out.set_cell(&out_coords, out_rec)?;
+        }
+    }
+    Ok(out)
+}
+
+/// Whether [`sjoin`] takes its positional path: `on` pairs dimension *k*
+/// of A with dimension *k* of B for every *k*, and the schemas agree on
+/// rank, `upper` and `chunk_len` on every dimension. Equal coordinates
+/// then sit at the same offset of the same chunk on both sides, so the
+/// join is a per-chunk concatenation; every other join hashes B.
+pub fn sjoin_is_aligned(a: &ArraySchema, b: &ArraySchema, on: &[(&str, &str)]) -> bool {
+    a.rank() == b.rank()
+        && on.len() == a.rank()
+        && a.dims()
+            .iter()
+            .zip(b.dims())
+            .all(|(da, db)| da.upper == db.upper && da.chunk_len == db.chunk_len)
+        && (0..a.rank()).all(|k| {
+            on.iter()
+                .any(|(da, db)| a.dim_index(da) == Some(k) && b.dim_index(db) == Some(k))
+        })
+}
+
+/// The positional path of [`sjoin`]: dense chunk pairs AND their presence
+/// bitmaps and concatenate their columns; a pair with a sparse chunk
+/// probes the fuller chunk once per cell of the emptier one.
+fn sjoin_chunks(a: &Array, b: &Array, schema: ArraySchema) -> Result<Array> {
+    let attr_types: Vec<_> = schema.attrs().iter().map(|x| x.ty.clone()).collect();
+    let mut out = Array::new(schema);
+    for (origin, ca) in a.chunks() {
+        let Some(cb) = b.chunks().get(origin) else {
+            continue;
+        };
+        match (
+            ca.columns(),
+            ca.present_bitmap(),
+            cb.columns(),
+            cb.present_bitmap(),
+        ) {
+            (Some(cols_a), Some(pa), Some(cols_b), Some(pb)) => {
+                let mut present = pa.clone();
+                present.intersect_with(pb);
+                if present.none() {
+                    continue;
+                }
+                let columns = cols_a.iter().chain(cols_b).cloned().collect();
+                out.insert_chunk(Chunk::from_parts(
+                    ca.rect().clone(),
+                    attr_types.clone(),
+                    present,
+                    columns,
+                )?);
+            }
+            _ => {
+                let (small, big) = if ca.present_count() <= cb.present_count() {
+                    (ca, cb)
+                } else {
+                    (cb, ca)
+                };
+                for (coords, _) in small.iter_present() {
+                    if !big.cell_present(&coords) {
+                        continue;
+                    }
+                    let mut rec = ca.record_at(ca.offset_of(&coords));
+                    rec.extend(cb.record_at(cb.offset_of(&coords)));
+                    out.set_cell(&coords, rec)?;
+                }
+            }
         }
     }
     Ok(out)
@@ -487,6 +562,7 @@ pub fn cross_product(a: &Array, b: &Array) -> Result<Array> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SmallRng;
     use crate::schema::SchemaBuilder;
     use crate::value::{record, ScalarType};
 
@@ -662,6 +738,129 @@ mod tests {
         b.set_cell(&[5], record([Value::from(9i64)])).unwrap();
         let out = sjoin(&a, &b, &[("i", "i")]).unwrap();
         assert_eq!(out.cell_count(), 0);
+    }
+
+    /// `n × n` float array chunked `chunk` with dims `i, j`, holding
+    /// `v = 100i + j` everywhere.
+    fn dense_ij(n: i64, chunk: i64) -> Array {
+        let schema = SchemaBuilder::new("D")
+            .attr("v", ScalarType::Float64)
+            .dim_chunked("i", n, chunk)
+            .dim_chunked("j", n, chunk)
+            .build()
+            .unwrap();
+        let mut a = Array::new(schema);
+        a.fill_with(|c| record([Value::from((c[0] * 100 + c[1]) as f64)]))
+            .unwrap();
+        a
+    }
+
+    /// 12×12 array (`v = float`, `w = int` with NULLs) chunked 4×4, each
+    /// chunk filled at a seeded density: empty, sparse, mostly or fully
+    /// present — so chunk pairs meet dense-dense, dense-sparse and
+    /// sparse-sparse.
+    fn seeded_ij(seed: u64) -> Array {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let schema = SchemaBuilder::new("S")
+            .attr("v", ScalarType::Float64)
+            .attr("w", ScalarType::Int64)
+            .dim_chunked("i", 12, 4)
+            .dim_chunked("j", 12, 4)
+            .build()
+            .unwrap();
+        let mut a = Array::new(schema);
+        for (ci, cj) in (0..3).flat_map(|ci| (0..3).map(move |cj| (ci, cj))) {
+            let fill = [0.0, 0.1, 0.6, 1.0][rng.gen_range(0..4usize)];
+            for (i, j) in (1..=4).flat_map(|i| (1..=4).map(move |j| (i, j))) {
+                if !rng.gen_bool(fill) {
+                    continue;
+                }
+                let w = if rng.gen_bool(0.2) {
+                    Value::Null
+                } else {
+                    Value::from(rng.gen_range(-3..=3i64))
+                };
+                let v = Value::from(rng.gen_range(0.0..1.0f64));
+                a.set_cell(&[4 * ci + i, 4 * cj + j], vec![v, w]).unwrap();
+            }
+        }
+        a
+    }
+
+    /// Joins `a ⋈ b` on every dimension, and again with `b` re-chunked so
+    /// the hash path runs; asserts the two agree and returns the first.
+    fn join_both_ways(a: &Array, b: &Array) -> Array {
+        let on = [("i", "i"), ("j", "j")];
+        let mut dims = b.schema().dims().to_vec();
+        for d in &mut dims {
+            d.chunk_len = if d.chunk_len > 1 { d.chunk_len - 1 } else { 2 };
+        }
+        let mut b2 = Array::new(
+            ArraySchema::new(b.schema().name(), b.schema().attrs().to_vec(), dims).unwrap(),
+        );
+        for (coords, rec) in b.cells() {
+            b2.set_cell(&coords, rec).unwrap();
+        }
+        assert!(!sjoin_is_aligned(a.schema(), b2.schema(), &on));
+        let hashed = sjoin(a, &b2, &on).unwrap();
+        let out = sjoin(a, b, &on).unwrap();
+        assert_eq!(out.schema().attrs(), hashed.schema().attrs());
+        assert!(out.same_cells(&hashed), "positional and hash joins differ");
+        out
+    }
+
+    #[test]
+    fn sjoin_positional_path_agrees_with_hash_path() {
+        let on = [("i", "i"), ("j", "j")];
+        for seed in 0..200 {
+            let (a, b) = (seeded_ij(seed), seeded_ij(seed + 1000));
+            assert!(sjoin_is_aligned(a.schema(), b.schema(), &on));
+            join_both_ways(&a, &b);
+        }
+    }
+
+    #[test]
+    fn sjoin_positional_path_cases() {
+        let on = [("i", "i"), ("j", "j")];
+        // Fully dense: every cell joins.
+        let full = join_both_ways(&dense_ij(16, 8), &dense_ij(16, 8));
+        assert_eq!(full.cell_count(), 256);
+
+        // Partial presence: a cell missing on one side is missing out.
+        let mut a = dense_ij(8, 8);
+        a.delete_cell(&[3, 3]).unwrap();
+        let out = join_both_ways(&a, &dense_ij(8, 8));
+        assert_eq!(out.cell_count(), 63);
+        assert!(!out.exists(&[3, 3]));
+        assert_eq!(
+            out.get_cell(&[2, 2]),
+            Some(vec![Value::from(202.0), Value::from(202.0)])
+        );
+
+        // Sparse chunks: probe cell by cell.
+        let mut a = Array::new(dense_ij(8, 8).schema().renamed("Sp"));
+        let mut b = Array::new(dense_ij(8, 8).schema().renamed("Sp2"));
+        a.set_cell(&[1, 1], record([Value::from(1.0)])).unwrap();
+        a.set_cell(&[2, 2], record([Value::from(2.0)])).unwrap();
+        b.set_cell(&[2, 2], record([Value::from(20.0)])).unwrap();
+        let out = join_both_ways(&a, &b);
+        assert_eq!(out.cell_count(), 1);
+        assert_eq!(
+            out.get_cell(&[2, 2]),
+            Some(vec![Value::from(2.0), Value::from(20.0)])
+        );
+
+        // Misaligned chunking or bounds, or crossed dimensions: the hash
+        // path answers instead of an error.
+        let a = dense_ij(16, 8);
+        for (b, cells) in [(dense_ij(16, 4), 256), (dense_ij(8, 8), 64)] {
+            assert!(!sjoin_is_aligned(a.schema(), b.schema(), &on));
+            assert_eq!(sjoin(&a, &b, &on).unwrap().cell_count(), cells);
+        }
+        let crossed = [("i", "j"), ("j", "i")];
+        assert!(!sjoin_is_aligned(a.schema(), a.schema(), &crossed));
+        let out = sjoin(&a, &a, &crossed).unwrap();
+        assert_eq!(out.get_f64(1, &[3, 5]), Some(503.0));
     }
 
     #[test]

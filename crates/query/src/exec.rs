@@ -1418,6 +1418,19 @@ mod tests {
                 "missing layer {layer} in {layers:?}"
             );
         }
+
+        // The join node says which sjoin path ran: co-aligned inputs join
+        // by position, crossed dimensions by hash.
+        for (on, path) in [("X = X and Y = Y", "aligned"), ("X = Y and Y = X", "hash")] {
+            let report = db
+                .run(&format!("explain analyze sjoin(D, Tmp, {on})"))
+                .unwrap()
+                .pop()
+                .unwrap();
+            let text = report.as_explain().unwrap().to_string();
+            let needle = format!("sjoin [query] path=\"{path}\"");
+            assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
+        }
     }
 
     #[test]

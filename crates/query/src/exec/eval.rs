@@ -106,6 +106,9 @@ impl Evaluator<'_> {
                 let right = self.eval_node(span, *right)?;
                 let pairs: Vec<(&str, &str)> =
                     on.iter().map(|(l, r)| (l.as_str(), r.as_str())).collect();
+                let aligned =
+                    ops::structural::sjoin_is_aligned(left.schema(), right.schema(), &pairs);
+                span.set_attr("path", if aligned { "aligned" } else { "hash" });
                 self.timed_serial(span, "sjoin", &left, || ops::sjoin(&left, &right, &pairs))
             }
             AExpr::Cjoin { left, right, pred } => {

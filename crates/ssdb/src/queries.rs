@@ -18,9 +18,9 @@ use crate::cooking::{calibrate, Calibration};
 use crate::detect::{detect, DetectParams, Observation};
 use crate::gen::{generate_stack, ImageSpec, Stack};
 use crate::group::{group_observations, GroupParams, ObsGroup};
-use scidb_core::error::Result;
+use scidb_core::error::{Error, Result};
 use scidb_core::geometry::HyperRect;
-use scidb_core::ops;
+use scidb_core::ops::{self, AggInput, DimCond, DimPredicate};
 use scidb_core::registry::Registry;
 
 /// One query's outcome: a scalar summary plus work accounting.
@@ -85,20 +85,29 @@ impl Benchmark {
         &self.registry
     }
 
-    /// Q1: average raw pixel over a slab, across all epochs (vectorized
-    /// slab scan).
+    /// Q1: average raw pixel over a slab, across all epochs — per epoch a
+    /// subsample of the slab, then its `sum` and `count`.
     pub fn q1_raw_slab(&self, region: &HyperRect) -> Result<QueryResult> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
+        let (mut sum, mut n) = (0.0, 0.0);
         for epoch in &self.stack.epochs {
-            let (s, c) = ops::dense::slab_sum_f64(epoch, 0, region)?;
-            sum += s;
-            n += c;
+            if region.rank() != epoch.rank() {
+                return Err(Error::dimension("slab rank mismatch"));
+            }
+            let mut pred = DimPredicate::new();
+            for (d, dim) in epoch.schema().dims().iter().enumerate() {
+                let cond = DimCond::Between(region.low[d], region.high[d]);
+                pred = pred.with(dim.name.clone(), cond);
+            }
+            let slab = ops::subsample(epoch, &pred, None)?;
+            for (agg, total) in [("sum", &mut sum), ("count", &mut n)] {
+                let out = ops::aggregate(&slab, &[], agg, AggInput::Star, &self.registry)?;
+                *total += out.get_f64(0, &[1]).unwrap_or(0.0);
+            }
         }
         Ok(QueryResult {
             name: "Q1",
-            value: if n == 0 { 0.0 } else { sum / n as f64 },
-            cells: n,
+            value: if n == 0.0 { 0.0 } else { sum / n },
+            cells: n as usize,
         })
     }
 
@@ -126,10 +135,10 @@ impl Benchmark {
     }
 
     /// Q3: regrid one cooked epoch by `factor` (resolution pyramid level,
-    /// vectorized mean-regrid kernel).
+    /// block averages).
     pub fn q3_regrid(&self, epoch: usize, factor: i64) -> Result<QueryResult> {
         let img = &self.cooked[epoch];
-        let out = ops::dense::regrid_mean_f64(img, 0, &[factor, factor])?;
+        let out = ops::regrid(img, &[factor, factor], "avg", &self.registry)?;
         Ok(QueryResult {
             name: "Q3",
             value: out.cell_count() as f64,

@@ -241,24 +241,6 @@ proptest! {
         let total: i64 = out.cells().map(|(_, r)| r[0].as_i64().unwrap()).sum();
         prop_assert_eq!(total as usize, a.cell_count());
     }
-
-    #[test]
-    fn aligned_sjoin_agrees_with_generic_sjoin(
-        writes_a in prop::collection::vec(((1i64..=12, 1i64..=12), -5.0f64..5.0), 0..40),
-        writes_b in prop::collection::vec(((1i64..=12, 1i64..=12), -5.0f64..5.0), 0..40),
-    ) {
-        let mut a = Array::new(small_schema());
-        let mut b = Array::new(small_schema().renamed("Q"));
-        for ((i, j), v) in writes_a {
-            a.set_cell(&[i, j], vec![Value::from(v)]).unwrap();
-        }
-        for ((i, j), v) in writes_b {
-            b.set_cell(&[i, j], vec![Value::from(v)]).unwrap();
-        }
-        let fast = ops::dense::aligned_sjoin(&a, &b).unwrap();
-        let generic = ops::sjoin(&a, &b, &[("i", "i"), ("j", "j")]).unwrap();
-        prop_assert!(fast.same_cells(&generic));
-    }
 }
 
 // ---- history ----------------------------------------------------------------

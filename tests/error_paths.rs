@@ -98,7 +98,4 @@ fn mismatched_shape_operator_inputs_are_err() {
     assert!(ops::structural::concat(&a, &b, "nope").is_err());
     // Regrid with the wrong number of factors (rank mismatch).
     assert!(ops::regrid::regrid(&a, &[2], "avg", &r).is_err());
-    // Dense slab scan with a region of the wrong rank.
-    let flat = HyperRect::new(vec![1], vec![2]).unwrap();
-    assert!(ops::dense::slab_sum_f64(&a, 0, &flat).is_err());
 }
