@@ -1,6 +1,6 @@
 //! `kernel_smoke` — the vectorized-kernel benchmark behind the CI bench gate.
 //!
-//! Runs every PARALLEL_KERNELS entry (filter, apply, project, subsample,
+//! Runs every chunk-parallel kernel (filter, apply, project, subsample,
 //! aggregate, regrid) over a fixed deterministic array, prints a per-kernel
 //! cells/sec table, and emits `target/kernel-smoke.json`:
 //!

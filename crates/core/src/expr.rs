@@ -252,7 +252,7 @@ fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
         return Ok(Value::Null);
     }
     match (op, v.as_scalar()) {
-        (UnaryOp::Neg, Some(Scalar::Int64(x))) => Ok(Value::from(-x)),
+        (UnaryOp::Neg, Some(Scalar::Int64(x))) => Ok(Value::from(x.wrapping_neg())),
         (UnaryOp::Neg, Some(Scalar::Float64(x))) => Ok(Value::from(-x)),
         (UnaryOp::Neg, Some(Scalar::Uncertain(u))) => Ok(Value::from(-*u)),
         (UnaryOp::Not, Some(Scalar::Bool(b))) => Ok(Value::from(!b)),
@@ -341,7 +341,7 @@ fn eval_arith(op: BinOp, a: Value, b: Value) -> Result<Value> {
         };
         return Ok(Value::from(r));
     }
-    // Integer arithmetic stays integral.
+    // Integer arithmetic stays integral and wraps, as in `ops::batch`.
     if let (Scalar::Int64(x), Scalar::Int64(y)) = (sa, sb) {
         let r = match op {
             BinOp::Add => x.wrapping_add(*y),
@@ -351,13 +351,13 @@ fn eval_arith(op: BinOp, a: Value, b: Value) -> Result<Value> {
                 if *y == 0 {
                     return Ok(Value::Null);
                 }
-                x / y
+                x.wrapping_div(*y)
             }
             BinOp::Mod => {
                 if *y == 0 {
                     return Ok(Value::Null);
                 }
-                x % y
+                x.wrapping_rem(*y)
             }
             _ => unreachable!(),
         };

@@ -37,10 +37,12 @@
 //! arithmetic on them bails because §2.13 error propagation changes the
 //! result type.
 //!
+//! The caller is one of the chunk drivers in [`ops`](super): `map_chunks`
+//! tries a kernel's batch body per chunk and counts the chunks that took
+//! each path on the kernel span (`batch_chunks`, `fallback_chunks`).
 //! Byte-identity with the per-cell path is enforced by the conformance
-//! harness (six engines) and by `proptests/tests/proptest_parallel.rs`; rule R6
-//! additionally checks that every `PARALLEL_KERNELS` entry names its batch
-//! function and that the entry file is actually wired to it.
+//! harness (six engines) and by `tests/parallel_equivalence.rs`, which also
+//! asserts that dense input takes the batch path.
 
 use crate::bitvec::BitVec;
 use crate::chunk::{Chunk, Column};

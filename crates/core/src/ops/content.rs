@@ -10,8 +10,6 @@ use crate::expr::{EvalContext, Expr};
 use crate::registry::Registry;
 use crate::schema::{ArraySchema, AttrType, AttributeDef, DimensionDef};
 use crate::value::{Record, ScalarType, Value};
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// `Filter(A, P)` (§2.2.2): "Filter returns an array with the same
 /// dimensions as A. … A(v) will contain A(v) if P(A(v)) evaluates to true,
@@ -32,41 +30,32 @@ pub fn filter_with(
     registry: Option<&Registry>,
     ctx: &ExecContext,
 ) -> Result<Array> {
-    let start = Instant::now();
-    let null_rec: Record = vec![Value::Null; a.schema().attrs().len()];
     let chunks: Vec<&Chunk> = a.chunks().values().collect();
-    let results = ctx.try_par_map(&chunks, |chunk| {
-        // Columnar fast path: evaluate the predicate over whole columns and
-        // null-out failing lanes via a selection mask. Bails (None) on any
-        // form that could error or that the batch evaluator cannot prove
-        // exact, falling through to the per-cell loop below.
-        if let Some(oc) = super::batch::filter_columns(chunk, a.schema(), pred) {
-            return Ok((oc, chunk.present_count() as u64));
-        }
-        let mut oc = Chunk::new(chunk.rect().clone(), chunk.attr_types());
-        let mut cells = 0u64;
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
-            let rec = chunk.record_at(idx);
+    // Columnar path: evaluate the predicate over whole columns and null out
+    // failing lanes via a selection mask.
+    super::map_chunks(
+        "filter",
+        &chunks,
+        Array::from_arc(a.schema_arc()),
+        ctx,
+        |chunk| {
+            super::batch::filter_columns(chunk, a.schema(), pred)
+                .map(|oc| (oc, chunk.present_count() as u64))
+        },
+        |chunk, coords, idx| {
+            let mut rec = chunk.record_at(idx);
             let ectx = EvalContext {
                 schema: a.schema(),
-                coords: &coords,
+                coords,
                 record: &rec,
                 registry,
             };
-            let keep = pred.eval_bool(&ectx)?.unwrap_or(false);
-            if keep {
-                oc.set_record(&coords, &rec)?;
-            } else {
-                oc.set_record(&coords, &null_rec)?;
+            if !pred.eval_bool(&ectx)?.unwrap_or(false) {
+                rec.iter_mut().for_each(|v| *v = Value::Null);
             }
-        }
-        Ok((oc, cells))
-    })?;
-    let mut out = Array::from_arc(a.schema_arc());
-    let total_cells = super::merge_chunk_outputs(&mut out, results);
-    ctx.record("filter", chunks.len() as u64, total_cells, start.elapsed());
-    Ok(out)
+            Ok(Some(rec))
+        },
+    )
 }
 
 /// What an aggregate consumes.
@@ -119,7 +108,6 @@ pub fn aggregate_with(
     registry: &Registry,
     ctx: &ExecContext,
 ) -> Result<Array> {
-    let start = Instant::now();
     let schema = a.schema();
     let mut gdims = Vec::with_capacity(group_dims.len());
     for g in group_dims {
@@ -156,68 +144,16 @@ pub fn aggregate_with(
         .iter()
         .map(|&i| {
             let in_attr = &schema.attrs()[i];
-            // Aggregate output types: count is int; others follow input.
-            let ty = match agg_name.to_ascii_lowercase().as_str() {
-                "count" => ScalarType::Int64,
-                "avg" | "stddev" | "var" => ScalarType::Float64,
-                _ => in_attr.ty.as_scalar().unwrap_or(ScalarType::Float64),
-            };
+            let ty = super::agg_output_type(agg_name, &in_attr.ty);
             AttributeDef::scalar(format!("{}_{}", agg_name, in_attr.name), ty)
         })
         .collect();
     let out_schema =
         ArraySchema::new(format!("aggregate({})", schema.name()), out_attrs, out_dims)?;
 
-    // Per-chunk partial aggregation: each chunk folds its cells into local
-    // states and exports mergeable partials.
-    let chunks: Vec<&Chunk> = a.chunks().values().collect();
-    let partials = ctx.try_par_map(&chunks, |chunk| {
-        let mut local: BTreeMap<Vec<i64>, Vec<Box<dyn crate::udf::AggState>>> = BTreeMap::new();
-        // Columnar fold: ungrouped aggregates fold each attribute column
-        // end-to-end (one state per column, no per-cell record build);
-        // grouped aggregates still walk cells but read values straight out
-        // of the columns. Both visit values in ascending offset order, so
-        // the partials are bitwise identical to the per-cell loop's.
-        let cells = if gdims.is_empty() {
-            let mut states: Vec<Box<dyn crate::udf::AggState>> =
-                attr_idxs.iter().map(|_| agg.create()).collect();
-            let c = super::batch::fold_ungrouped_columnar(chunk, &attr_idxs, &mut states)?;
-            if c > 0 {
-                local.insert(vec![1], states);
-            }
-            c
-        } else {
-            super::batch::fold_groups_columnar(
-                chunk,
-                &attr_idxs,
-                &*agg,
-                |coords| gdims.iter().map(|&d| coords[d]).collect(),
-                &mut local,
-            )?
-        };
-        let exported: super::AggPartials = local
-            .into_iter()
-            .map(|(k, states)| (k, states.iter().map(|s| s.partial()).collect()))
-            .collect();
-        Ok((exported, cells))
-    })?;
-
-    // Ordered merge: partials are combined in chunk order, which is fixed by
-    // the array's chunk map — never by thread scheduling.
-    let (groups, total_cells) = super::merge_agg_partials(&*agg, attr_idxs.len(), partials)?;
-
-    let mut out = Array::new(out_schema);
-    for (key, states) in groups {
-        let rec: Record = states.iter().map(|s| s.finalize()).collect();
-        out.set_cell(&key, rec)?;
-    }
-    ctx.record(
-        "aggregate",
-        chunks.len() as u64,
-        total_cells,
-        start.elapsed(),
-    );
-    Ok(out)
+    let group =
+        (!gdims.is_empty()).then_some(|coords: &[i64]| gdims.iter().map(|&d| coords[d]).collect());
+    super::fold_chunks("aggregate", a, &attr_idxs, &*agg, group, out_schema, ctx)
 }
 
 /// `Cjoin(A, B, P)` (§2.2.2): content-based join whose predicate ranges
@@ -314,7 +250,6 @@ pub fn apply_with(
     registry: Option<&Registry>,
     ctx: &ExecContext,
 ) -> Result<Array> {
-    let start = Instant::now();
     if a.schema().attr_index(new_attr).is_some() {
         return Err(Error::AlreadyExists(format!("attribute '{new_attr}'")));
     }
@@ -327,35 +262,30 @@ pub fn apply_with(
     )?;
     let out_types: Vec<AttrType> = out_schema.attrs().iter().map(|at| at.ty.clone()).collect();
     let chunks: Vec<&Chunk> = a.chunks().values().collect();
-    let results = ctx.try_par_map(&chunks, |chunk| {
-        // Columnar fast path: evaluate the expression over whole columns and
-        // append the result as a new column; bails to the per-cell loop on
-        // anything the batch evaluator cannot prove exact.
-        if let Some(oc) = super::batch::apply_columns(chunk, a.schema(), expr, &out_types) {
-            return Ok((oc, chunk.present_count() as u64));
-        }
-        let mut oc = Chunk::new(chunk.rect().clone(), &out_types);
-        let mut cells = 0u64;
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
-            let rec = chunk.record_at(idx);
+    // Columnar path: evaluate the expression over whole columns and append
+    // the result as a new column.
+    super::map_chunks(
+        "apply",
+        &chunks,
+        Array::new(out_schema),
+        ctx,
+        |chunk| {
+            super::batch::apply_columns(chunk, a.schema(), expr, &out_types)
+                .map(|oc| (oc, chunk.present_count() as u64))
+        },
+        |chunk, coords, idx| {
+            let mut rec = chunk.record_at(idx);
             let ectx = EvalContext {
                 schema: a.schema(),
-                coords: &coords,
+                coords,
                 record: &rec,
                 registry,
             };
             let v = expr.eval(&ectx)?;
-            let mut new_rec = rec;
-            new_rec.push(v);
-            oc.set_record(&coords, &new_rec)?;
-        }
-        Ok((oc, cells))
-    })?;
-    let mut out = Array::new(out_schema);
-    let total_cells = super::merge_chunk_outputs(&mut out, results);
-    ctx.record("apply", chunks.len() as u64, total_cells, start.elapsed());
-    Ok(out)
+            rec.push(v);
+            Ok(Some(rec))
+        },
+    )
 }
 
 /// `Project(A, attrs)` (§2.2.2): keeps only the named attributes.
@@ -366,7 +296,6 @@ pub fn project(a: &Array, keep: &[&str]) -> Result<Array> {
 /// [`project`] under an [`ExecContext`]: a pure per-chunk column selection,
 /// computed in parallel.
 pub fn project_with(a: &Array, keep: &[&str], ctx: &ExecContext) -> Result<Array> {
-    let start = Instant::now();
     if keep.is_empty() {
         return Err(Error::schema("project requires at least one attribute"));
     }
@@ -387,26 +316,22 @@ pub fn project_with(a: &Array, keep: &[&str], ctx: &ExecContext) -> Result<Array
     )?;
     let out_types: Vec<AttrType> = out_schema.attrs().iter().map(|at| at.ty.clone()).collect();
     let chunks: Vec<&Chunk> = a.chunks().values().collect();
-    let results = ctx.try_par_map(&chunks, |chunk| {
-        // Columnar fast path: projection on a dense chunk is a straight
-        // column subset — no per-cell record materialization at all.
-        if let Some(oc) = super::batch::project_columns(chunk, &idxs, &out_types) {
-            return Ok((oc, chunk.present_count() as u64));
-        }
-        let mut oc = Chunk::new(chunk.rect().clone(), &out_types);
-        let mut cells = 0u64;
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
+    // Columnar path: projection on a dense chunk is a straight column
+    // subset, with no per-cell records at all.
+    super::map_chunks(
+        "project",
+        &chunks,
+        Array::new(out_schema),
+        ctx,
+        |chunk| {
+            super::batch::project_columns(chunk, &idxs, &out_types)
+                .map(|oc| (oc, chunk.present_count() as u64))
+        },
+        |chunk, _, idx| {
             let rec = chunk.record_at(idx);
-            let new_rec: Record = idxs.iter().map(|&i| rec[i].clone()).collect();
-            oc.set_record(&coords, &new_rec)?;
-        }
-        Ok((oc, cells))
-    })?;
-    let mut out = Array::new(out_schema);
-    let total_cells = super::merge_chunk_outputs(&mut out, results);
-    ctx.record("project", chunks.len() as u64, total_cells, start.elapsed());
-    Ok(out)
+            Ok(Some(idxs.iter().map(|&i| rec[i].clone()).collect()))
+        },
+    )
 }
 
 #[cfg(test)]

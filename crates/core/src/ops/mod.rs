@@ -18,17 +18,26 @@
 //! §2.1 array-over-tables advantage), every other join hashes
 //! ([`structural::sjoin_is_aligned`]).
 //!
-//! # The parallel-kernel contract
+//! # The chunk drivers
 //!
-//! Chunk-parallel kernels fan per-chunk work out over
-//! [`ExecContext::try_par_map`](crate::exec::ExecContext::try_par_map) and
-//! combine the per-chunk partial results with a *named*, deterministic merge
-//! function, so serial and parallel runs are bitwise identical. Every such
-//! kernel must be declared in [`PARALLEL_KERNELS`]; `cargo xtask analyze`
-//! (rule R2) cross-checks the declaration against the source — an
-//! undeclared `try_par_map` call site, a missing merge function, or a
-//! kernel absent from the serial≡parallel equivalence tests is a build
-//! failure.
+//! The chunk is the unit of both storage and parallel work (§2.8), and one
+//! chunk-at-a-time loop serves every chunk-parallel kernel. Two private
+//! drivers are the only fan-out in this module:
+//!
+//! * `map_chunks` rewrites each chunk into one output chunk (Filter,
+//!   Apply, Project, Subsample): the columnar `batch` body first, else the
+//!   per-cell body, then `merge_chunk_outputs`;
+//! * `fold_chunks` folds each chunk into per-group partial aggregates
+//!   (Aggregate, Regrid) and combines them with `merge_agg_partials`.
+//!
+//! Both fan out over
+//! [`ExecContext::try_par_map`](crate::exec::ExecContext::try_par_map),
+//! time the call through
+//! [`ExecContext::timed`](crate::exec::ExecContext::timed), and merge per-chunk
+//! results in chunk order, so serial and parallel runs are bitwise
+//! identical. A kernel is a `*_with` entry that validates its inputs,
+//! builds its output schema and calls one driver; `cargo xtask analyze`
+//! derives the kernel list from those call sites (rules R2 and R6).
 
 pub(crate) mod batch;
 pub mod content;
@@ -38,9 +47,11 @@ pub mod structural;
 use crate::array::Array;
 use crate::chunk::Chunk;
 use crate::error::Result;
+use crate::exec::ExecContext;
 use crate::geometry::Coords;
+use crate::schema::{ArraySchema, AttrType};
 use crate::udf::{AggState, AggregateFn};
-use crate::value::Record;
+use crate::value::{Record, ScalarType};
 use std::collections::BTreeMap;
 
 pub use content::{
@@ -53,74 +64,126 @@ pub use structural::{
     subsample_with, DimCond, DimPredicate,
 };
 
-/// Contract descriptor for one chunk-parallel kernel.
-///
-/// Checked statically by `cargo xtask analyze` (rules R2/R6): the `entry`
-/// function must exist and be the only place its file calls
-/// `try_par_map`/`par_map`, the `merge` function must be referenced from the
-/// same file, the entry must appear in `proptests/tests/proptest_parallel.rs` (the
-/// serial≡parallel equivalence suite), and the `batch` function must exist
-/// in `core::ops` and be referenced from the entry's file (the columnar
-/// fast path is actually wired, not just declared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KernelSpec {
-    /// Operator name as recorded in [`OpMetrics`](crate::exec::OpMetrics).
-    pub name: &'static str,
-    /// The `*_with` entry point that fans chunks out over the context.
-    pub entry: &'static str,
-    /// The deterministic merge combining per-chunk partial results.
-    pub merge: &'static str,
-    /// The columnar batch kernel ([`batch`] module) the entry dispatches
-    /// to for dense chunks.
-    pub batch: &'static str,
-}
-
-/// Every chunk-parallel kernel in the engine, with its merge function.
-pub const PARALLEL_KERNELS: &[KernelSpec] = &[
-    KernelSpec {
-        name: "subsample",
-        entry: "subsample_with",
-        merge: "merge_chunk_outputs",
-        batch: "subsample_columns",
-    },
-    KernelSpec {
-        name: "filter",
-        entry: "filter_with",
-        merge: "merge_chunk_outputs",
-        batch: "filter_columns",
-    },
-    KernelSpec {
-        name: "apply",
-        entry: "apply_with",
-        merge: "merge_chunk_outputs",
-        batch: "apply_columns",
-    },
-    KernelSpec {
-        name: "project",
-        entry: "project_with",
-        merge: "merge_chunk_outputs",
-        batch: "project_columns",
-    },
-    KernelSpec {
-        name: "aggregate",
-        entry: "aggregate_with",
-        merge: "merge_agg_partials",
-        batch: "fold_groups_columnar",
-    },
-    KernelSpec {
-        name: "regrid",
-        entry: "regrid_with",
-        merge: "merge_agg_partials",
-        batch: "fold_groups_columnar",
-    },
-];
-
 /// Per-chunk partial aggregate export: `(group key, one partial record per
 /// aggregate state)`.
 pub(crate) type AggPartials = Vec<(Coords, Vec<Record>)>;
 
 /// Merged per-group aggregate states, keyed by group coordinates.
 pub(crate) type GroupStates = BTreeMap<Coords, Vec<Box<dyn AggState>>>;
+
+/// The driver of the chunk-rewriting kernels (filter, apply, project,
+/// subsample): maps every chunk of `chunks` to one output chunk and merges
+/// them into `out` in chunk order, timed as `op`.
+///
+/// Per chunk, `batch` runs first and returns the output chunk plus the
+/// cells it touched, or `None` to decline (the bail-out contract of the
+/// `batch` module). A declined chunk runs `cell` on every present cell
+/// `(chunk, coords, offset)`; `Some(record)` writes that record at the
+/// cell's coordinates in the output, `None` leaves the cell empty. With a
+/// kernel span installed, the span records how many chunks took each path
+/// as `batch_chunks` and `fallback_chunks`.
+pub(crate) fn map_chunks<B, C>(
+    op: &str,
+    chunks: &[&Chunk],
+    mut out: Array,
+    ctx: &ExecContext,
+    batch: B,
+    cell: C,
+) -> Result<Array>
+where
+    B: Fn(&Chunk) -> Option<(Chunk, u64)> + Sync,
+    C: Fn(&Chunk, &Coords, usize) -> Result<Option<Record>> + Sync,
+{
+    ctx.timed(op, || {
+        let out_types: Vec<AttrType> = out.schema().attrs().iter().map(|a| a.ty.clone()).collect();
+        let results = ctx.try_par_map(chunks, |chunk| {
+            if let Some(done) = batch(chunk) {
+                return Ok((done, true));
+            }
+            let mut oc = Chunk::new(chunk.rect().clone(), &out_types);
+            let mut cells = 0u64;
+            for (coords, idx) in chunk.iter_present() {
+                cells += 1;
+                if let Some(rec) = cell(chunk, &coords, idx)? {
+                    oc.set_record(&coords, &rec)?;
+                }
+            }
+            Ok(((oc, cells), false))
+        })?;
+        if let Some(span) = ctx.current_span() {
+            let batched = results.iter().filter(|(_, b)| *b).count() as u64;
+            span.set_attr("batch_chunks", batched);
+            span.set_attr("fallback_chunks", results.len() as u64 - batched);
+        }
+        let cells = merge_chunk_outputs(&mut out, results.into_iter().map(|(r, _)| r));
+        Ok((out, chunks.len() as u64, cells))
+    })
+}
+
+/// The driver of the partial-aggregating kernels (aggregate, regrid):
+/// folds the attributes `attr_idxs` of every chunk of `a` into per-group
+/// states of `agg`, merges the partials in chunk order and finalizes one
+/// output cell per group into an array of `out_schema`, timed as `op`.
+///
+/// `group` maps a cell's coordinates to its group key (the output cell);
+/// `None` folds the whole array into the single group `[1]`.
+pub(crate) fn fold_chunks<G>(
+    op: &str,
+    a: &Array,
+    attr_idxs: &[usize],
+    agg: &dyn AggregateFn,
+    group: Option<G>,
+    out_schema: ArraySchema,
+    ctx: &ExecContext,
+) -> Result<Array>
+where
+    G: Fn(&[i64]) -> Coords + Sync,
+{
+    ctx.timed(op, || {
+        let chunks: Vec<&Chunk> = a.chunks().values().collect();
+        // Columnar folds: both visit values in ascending offset order, so
+        // the partials are bitwise identical to a per-cell loop's.
+        let partials = ctx.try_par_map(&chunks, |chunk| {
+            let mut local: GroupStates = BTreeMap::new();
+            let cells = match &group {
+                None => {
+                    let mut states: Vec<Box<dyn AggState>> =
+                        attr_idxs.iter().map(|_| agg.create()).collect();
+                    let c = batch::fold_ungrouped_columnar(chunk, attr_idxs, &mut states)?;
+                    if c > 0 {
+                        local.insert(vec![1], states);
+                    }
+                    c
+                }
+                Some(key_of) => {
+                    batch::fold_groups_columnar(chunk, attr_idxs, agg, key_of, &mut local)?
+                }
+            };
+            let exported: AggPartials = local
+                .into_iter()
+                .map(|(k, states)| (k, states.iter().map(|s| s.partial()).collect()))
+                .collect();
+            Ok((exported, cells))
+        })?;
+        let (groups, cells) = merge_agg_partials(agg, attr_idxs.len(), partials)?;
+        let mut out = Array::new(out_schema);
+        for (key, states) in groups {
+            out.set_cell(&key, states.iter().map(|s| s.finalize()).collect())?;
+        }
+        Ok((out, chunks.len() as u64, cells))
+    })
+}
+
+/// The output type of aggregate `agg_name` over an attribute of type
+/// `input`: `count` is an integer, the moments (`avg`, `stddev`, `var`)
+/// are floats, every other aggregate keeps the input's scalar type.
+pub(crate) fn agg_output_type(agg_name: &str, input: &AttrType) -> ScalarType {
+    match agg_name.to_ascii_lowercase().as_str() {
+        "count" => ScalarType::Int64,
+        "avg" | "stddev" | "var" => ScalarType::Float64,
+        _ => input.as_scalar().unwrap_or(ScalarType::Float64),
+    }
+}
 
 /// Deterministic merge for chunk-rewriting kernels (subsample, filter,
 /// apply, project): inserts each non-empty output chunk into `out` in chunk
@@ -129,7 +192,10 @@ pub(crate) type GroupStates = BTreeMap<Coords, Vec<Box<dyn AggState>>>;
 /// `results` arrives from `try_par_map` in *item order* (the array's chunk
 /// map order) regardless of thread scheduling, so the output array is
 /// identical at every thread count.
-pub(crate) fn merge_chunk_outputs(out: &mut Array, results: Vec<(Chunk, u64)>) -> u64 {
+pub(crate) fn merge_chunk_outputs(
+    out: &mut Array,
+    results: impl IntoIterator<Item = (Chunk, u64)>,
+) -> u64 {
     let mut total_cells = 0u64;
     for (oc, cells) in results {
         total_cells += cells;
@@ -175,32 +241,6 @@ mod tests {
     use crate::value::Value;
 
     #[test]
-    fn kernel_manifest_is_well_formed() {
-        let mut names: Vec<&str> = PARALLEL_KERNELS.iter().map(|k| k.name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(
-            names.len(),
-            PARALLEL_KERNELS.len(),
-            "kernel names must be unique"
-        );
-        for k in PARALLEL_KERNELS {
-            assert!(!k.name.is_empty());
-            assert!(
-                k.entry.ends_with("_with"),
-                "kernel entry '{}' must be a *_with context entry point",
-                k.entry
-            );
-            assert!(k.merge.starts_with("merge_"));
-            assert!(
-                !k.batch.is_empty(),
-                "kernel '{}' must name its columnar batch function",
-                k.name
-            );
-        }
-    }
-
-    #[test]
     fn merge_chunk_outputs_skips_empty_and_counts_cells() {
         let a = Array::int_1d("A", "x", &[1, 2, 3]);
         let mut out = Array::from_arc(a.schema_arc());
@@ -229,6 +269,68 @@ mod tests {
         assert_eq!(cells, 2);
         let states = groups.get(&vec![1]).expect("group");
         assert_eq!(states[0].finalize(), Value::from(42i64));
+    }
+
+    /// Integer `/`, `%` and negation wrap on both paths: a dense chunk runs
+    /// the batch evaluator, a sparse chunk with the same cells the per-cell
+    /// one, and neither panics or answers differently at `i64::MIN`.
+    #[test]
+    fn int_overflow_wraps_alike_on_dense_and_sparse_chunks() {
+        use crate::expr::{BinOp, Expr, UnaryOp};
+        use crate::schema::SchemaBuilder;
+        let vals = [i64::MIN, -7, 3, i64::MAX];
+        let dense = Array::int_1d("D", "v", &vals);
+        let schema = SchemaBuilder::new("S")
+            .attr("v", ScalarType::Int64)
+            .dim_chunked("x", 64, 64)
+            .build()
+            .expect("schema");
+        let mut sparse = Array::new(schema);
+        for (x, &v) in (1..).zip(&vals) {
+            sparse.set_cell(&[x], vec![Value::from(v)]).expect("set");
+        }
+        assert!(dense.chunks().values().all(Chunk::is_dense));
+        assert!(!sparse.chunks().values().any(Chunk::is_dense));
+        let v = || Box::new(Expr::attr("v"));
+        let minus_one = || Box::new(Expr::lit(-1i64));
+        for expr in [
+            Expr::Binary(BinOp::Div, v(), minus_one()),
+            Expr::Binary(BinOp::Mod, v(), minus_one()),
+            Expr::Unary(UnaryOp::Neg, v()),
+            Expr::Binary(BinOp::Mul, v(), minus_one()),
+        ] {
+            let on_dense =
+                content::apply(&dense, "w", &expr, ScalarType::Int64, None).expect("dense");
+            let on_sparse =
+                content::apply(&sparse, "w", &expr, ScalarType::Int64, None).expect("sparse");
+            for x in 1..=vals.len() as i64 {
+                assert_eq!(
+                    on_dense.get_value(1, &[x]),
+                    on_sparse.get_value(1, &[x]),
+                    "{expr:?} at x={x}"
+                );
+            }
+        }
+        assert_eq!(
+            content::apply(
+                &sparse,
+                "w",
+                &Expr::Binary(BinOp::Div, v(), minus_one()),
+                ScalarType::Int64,
+                None
+            )
+            .expect("apply")
+            .get_value(1, &[1]),
+            Some(Value::from(i64::MIN))
+        );
+    }
+
+    #[test]
+    fn int_sum_wraps_instead_of_panicking() {
+        let reg = Registry::with_builtins();
+        let a = Array::int_1d("A", "v", &[i64::MAX, 1]);
+        let out = content::aggregate(&a, &[], "sum", content::AggInput::Star, &reg).expect("sum");
+        assert_eq!(out.get_cell(&[1]), Some(vec![Value::from(i64::MIN)]));
     }
 
     fn sum_partial(agg: &dyn AggregateFn, v: i64) -> Record {

@@ -10,8 +10,6 @@ use crate::array::Array;
 use crate::error::{Error, Result};
 use crate::registry::Registry;
 use crate::schema::{ArraySchema, AttrType, AttributeDef, DimensionDef};
-use crate::value::{Record, ScalarType};
-use std::collections::BTreeMap;
 
 /// Regrids `a` by `factors` (one integer ≥ 1 per dimension), applying the
 /// named aggregate to every block. Output dimension `d` has extent
@@ -38,7 +36,6 @@ pub fn regrid_with(
     registry: &Registry,
     ctx: &crate::exec::ExecContext,
 ) -> Result<Array> {
-    let start = std::time::Instant::now();
     let schema = a.schema();
     if factors.len() != schema.rank() {
         return Err(Error::dimension(format!(
@@ -67,15 +64,10 @@ pub fn regrid_with(
         .attrs()
         .iter()
         .map(|attr| {
-            let ty = match agg_name.to_ascii_lowercase().as_str() {
-                "count" => ScalarType::Int64,
-                "avg" | "stddev" | "var" => ScalarType::Float64,
-                _ => match &attr.ty {
-                    AttrType::Scalar(t) => *t,
-                    AttrType::Nested(_) => ScalarType::Float64,
-                },
-            };
-            AttributeDef::scalar(attr.name.clone(), ty)
+            AttributeDef::scalar(
+                attr.name.clone(),
+                super::agg_output_type(agg_name, &attr.ty),
+            )
         })
         .collect();
     for attr in schema.attrs() {
@@ -88,45 +80,23 @@ pub fn regrid_with(
     }
     let out_schema = ArraySchema::new(format!("regrid({})", schema.name()), out_attrs, out_dims)?;
 
-    let n_attrs = schema.attrs().len();
-    let chunks: Vec<&crate::chunk::Chunk> = a.chunks().values().collect();
-    let all_idxs: Vec<usize> = (0..n_attrs).collect();
-    let partials = ctx.try_par_map(&chunks, |chunk| {
-        let mut local: BTreeMap<Vec<i64>, Vec<Box<dyn crate::udf::AggState>>> = BTreeMap::new();
-        // Columnar fold: dense chunks read values straight out of the
-        // per-attribute columns (no record build); the visit order is
-        // ascending cell offset either way, so partials are bitwise
-        // identical to the per-cell loop's.
-        let cells = super::batch::fold_groups_columnar(
-            chunk,
-            &all_idxs,
-            &*agg,
-            |coords| {
-                coords
-                    .iter()
-                    .zip(factors)
-                    .map(|(&c, &f)| (c - 1) / f + 1)
-                    .collect()
-            },
-            &mut local,
-        )?;
-        let exported: super::AggPartials = local
-            .into_iter()
-            .map(|(k, states)| (k, states.iter().map(|s| s.partial()).collect()))
-            .collect();
-        Ok((exported, cells))
-    })?;
-
-    // Ordered merge in chunk order — deterministic across thread schedules.
-    let (blocks, total_cells) = super::merge_agg_partials(&*agg, n_attrs, partials)?;
-
-    let mut out = Array::new(out_schema);
-    for (key, states) in blocks {
-        let rec: Record = states.iter().map(|s| s.finalize()).collect();
-        out.set_cell(&key, rec)?;
-    }
-    ctx.record("regrid", chunks.len() as u64, total_cells, start.elapsed());
-    Ok(out)
+    let all_idxs: Vec<usize> = (0..schema.attrs().len()).collect();
+    let block_of = |coords: &[i64]| {
+        coords
+            .iter()
+            .zip(factors)
+            .map(|(&c, &f)| (c - 1) / f + 1)
+            .collect()
+    };
+    super::fold_chunks(
+        "regrid",
+        a,
+        &all_idxs,
+        &*agg,
+        Some(block_of),
+        out_schema,
+        ctx,
+    )
 }
 
 /// Regrid packaged as a registered array operation (§2.3): fixed factors

@@ -174,7 +174,6 @@ pub fn subsample_with(
     registry: Option<&Registry>,
     ctx: &crate::exec::ExecContext,
 ) -> Result<Array> {
-    let start = std::time::Instant::now();
     pred.validate(a.schema())?;
     // Structural pruning: skip chunks whose rectangle cannot match.
     let survivors: Vec<&Chunk> = a
@@ -182,33 +181,21 @@ pub fn subsample_with(
         .values()
         .filter(|chunk| pred.narrow_rect(a.schema(), chunk.rect()).is_some())
         .collect();
-    let results = ctx.try_par_map(&survivors, |chunk| {
-        // Columnar fast path: a conjunctive dimension predicate over a dense
-        // chunk reduces to per-dimension lookup tables that pick the cells
-        // to visit — no record materialization. Bails (None) on
-        // `DimCond::Fn` (which can error and needs the registry).
-        if let Some((oc, cells)) = super::batch::subsample_columns(chunk, a.schema(), pred) {
-            return Ok((oc, cells));
-        }
-        let mut oc = Chunk::new(chunk.rect().clone(), chunk.attr_types());
-        let mut cells = 0u64;
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
-            if pred.matches(a.schema(), &coords, registry)? {
-                oc.set_record(&coords, &chunk.record_at(idx))?;
-            }
-        }
-        Ok((oc, cells))
-    })?;
-    let mut out = Array::from_arc(a.schema_arc());
-    let total_cells = super::merge_chunk_outputs(&mut out, results);
-    ctx.record(
+    // Columnar path: a conjunctive dimension predicate over a dense chunk
+    // reduces to per-dimension lookup tables that pick the cells to visit.
+    // It declines `DimCond::Fn`, which can error and needs the registry.
+    super::map_chunks(
         "subsample",
-        survivors.len() as u64,
-        total_cells,
-        start.elapsed(),
-    );
-    Ok(out)
+        &survivors,
+        Array::from_arc(a.schema_arc()),
+        ctx,
+        |chunk| super::batch::subsample_columns(chunk, a.schema(), pred),
+        |chunk, coords, idx| {
+            Ok(pred
+                .matches(a.schema(), coords, registry)?
+                .then(|| chunk.record_at(idx)))
+        },
+    )
 }
 
 /// `Exists? [A, 7, 7]` (§2.2.1): cell-presence test.

@@ -319,7 +319,7 @@ impl AggState for SumState {
         }
         match s {
             Scalar::Int64(x) => {
-                self.int_sum += x;
+                self.int_sum = self.int_sum.wrapping_add(*x);
                 self.sum += *x as f64;
             }
             Scalar::Float64(x) => {
@@ -361,7 +361,7 @@ impl AggState for SumState {
             self.int_only = (self.int_only || !self.started) && other_int;
             self.started = true;
         }
-        self.int_sum += p[5].as_i64().ok_or_else(bad)?;
+        self.int_sum = self.int_sum.wrapping_add(p[5].as_i64().ok_or_else(bad)?);
         Ok(())
     }
 

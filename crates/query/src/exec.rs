@@ -1380,7 +1380,8 @@ mod tests {
         }
 
         // Golden rendering: with times suppressed the tree is byte-stable.
-        // bytes_read comes from an independent read of the same region.
+        // bytes_read comes from an independent read of the same region. The
+        // filter's one dense chunk takes the columnar path.
         let bytes_read = match &*db.array("D").unwrap() {
             StoredArray::OnDisk(mgr) => {
                 let region = HyperRect::new(vec![1, 1], vec![4, 4]).unwrap();
@@ -1392,7 +1393,7 @@ mod tests {
         let expected = format!(
             "statement [query] aql=\"aggregate(filter(scan(D), (v > 20)), {{Y}}, sum(*))\"\n\
              └─ aggregate [query] chunks_out=1 cells_out=4\n   \
-             └─ filter [query] chunks_out=1 cells_out=16\n      \
+             └─ filter [query] batch_chunks=1 fallback_chunks=0 chunks_out=1 cells_out=16\n      \
              └─ scan [query] array=\"D\" chunks_out=1 cells_out=16\n         \
              └─ read_region [storage] buckets=1 bytes_read={bytes_read} \
              cells_decoded=16 cells_returned=16 parallel=false\n"

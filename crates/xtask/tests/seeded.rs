@@ -6,26 +6,17 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use xtask::{analyze, Options, Outcome, BASELINE_PATH};
 
-/// A minimal valid manifest so R2 has kernels to check.
-const MANIFEST: &str = r#"
-pub struct KernelSpec {
-    pub name: &'static str,
-    pub entry: &'static str,
-    pub merge: &'static str,
-    pub batch: &'static str,
-}
-pub const PARALLEL_KERNELS: &[KernelSpec] = &[
-    KernelSpec { name: "filter", entry: "filter_with", merge: "merge_chunk_outputs", batch: "filter_columns" },
-];
-pub fn filter_with() {
-    if let Some(fast) = filter_columns() {
-        return fast;
-    }
+/// The two chunk drivers plus one kernel calling them, so R2 and R6 have
+/// a kernel to check.
+const OPS: &str = r#"
+pub(crate) fn map_chunks<B, C>(ctx: &ExecContext) {
     let r = ctx.try_par_map(&chunks, |c| c);
-    merge_chunk_outputs(&mut out, r);
 }
-fn filter_columns() -> Option<()> {
-    None
+pub(crate) fn fold_chunks<G>(ctx: &ExecContext) {
+    let r = ctx.try_par_map(&chunks, |c| c);
+}
+pub fn filter_with(ctx: &ExecContext) {
+    map_chunks("filter", &chunks, out, ctx, |c| None, |c, x, i| Ok(None))
 }
 "#;
 
@@ -41,13 +32,13 @@ fn scaffold(name: &str) -> PathBuf {
         "crates/conformance/src",
         "crates/obs/src",
         "crates/xtask",
-        "proptests/tests",
+        "tests",
     ] {
         fs::create_dir_all(root.join(dir)).expect("mkdir");
     }
     fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write");
-    fs::write(root.join("crates/core/src/ops/mod.rs"), MANIFEST).expect("write");
-    // A minimal op table covering the manifest keeps R6 quiet.
+    fs::write(root.join("crates/core/src/ops/mod.rs"), OPS).expect("write");
+    // A minimal op table covering the kernel keeps R6 quiet.
     fs::write(
         root.join("crates/conformance/src/optable.rs"),
         "pub const OP_TABLE: &[OpEntry] = &[\n\
@@ -56,7 +47,7 @@ fn scaffold(name: &str) -> PathBuf {
     )
     .expect("write");
     fs::write(
-        root.join("proptests/tests/proptest_parallel.rs"),
+        root.join("tests/parallel_equivalence.rs"),
         "// exercises filter_with\n",
     )
     .expect("write");
@@ -128,10 +119,11 @@ fn seeded_spawn_and_foreign_result_fail() {
 }
 
 #[test]
-fn seeded_unregistered_kernel_fails() {
+fn seeded_fanout_outside_the_drivers_fails_unless_allowed() {
     let root = scaffold("seeded_r2");
+    let rogue = root.join("crates/core/src/ops/rogue.rs");
     fs::write(
-        root.join("crates/core/src/ops/rogue.rs"),
+        &rogue,
         "pub fn rogue_with(ctx: &ExecContext) { ctx.par_map(&v, |x| x); }\n",
     )
     .expect("write");
@@ -139,24 +131,41 @@ fn seeded_unregistered_kernel_fails() {
     let outcome = analyze(&root, &Options::default(), &mut out).expect("analyze runs");
     assert_eq!(outcome, Outcome::Failed);
     let text = String::from_utf8(out).expect("utf8");
-    assert!(text.contains("not a registered kernel entry"), "{text}");
+    assert!(text.contains("error[R2]"), "{text}");
+    assert!(
+        text.contains("`rogue_with`, which is not a chunk driver"),
+        "{text}"
+    );
+
+    fs::write(
+        &rogue,
+        "pub fn rogue_with(ctx: &ExecContext) {\n\
+         // analyze: allow(R2, a side pass over the chunk list, merged in order)\n\
+         ctx.par_map(&v, |x| x);\n}\n",
+    )
+    .expect("write");
+    assert_eq!(run(&root), Outcome::Clean, "a justified allow silences R2");
 }
 
 #[test]
-fn seeded_uncovered_kernel_fails_r6() {
-    let root = scaffold("seeded_r6");
+fn seeded_untested_kernel_fails_r2_and_r6() {
+    let root = scaffold("seeded_r2_r6");
     fs::write(
-        root.join("crates/conformance/src/optable.rs"),
-        "pub const OP_TABLE: &[OpEntry] = &[\n];\n",
+        root.join("crates/core/src/ops/regrid.rs"),
+        "pub fn regrid_with(ctx: &ExecContext) {\n\
+         super::fold_chunks(\"regrid\", a, &idxs, agg, Some(k), schema, ctx)\n}\n",
     )
     .expect("write");
     let mut out = Vec::new();
     let outcome = analyze(&root, &Options::default(), &mut out).expect("analyze runs");
     assert_eq!(outcome, Outcome::Failed);
     let text = String::from_utf8(out).expect("utf8");
-    assert!(text.contains("error[R6]"), "{text}");
     assert!(
-        text.contains("not covered by the conformance op table"),
+        text.contains("kernel `regrid_with` is not exercised by tests/parallel_equivalence.rs"),
+        "{text}"
+    );
+    assert!(
+        text.contains("parallel kernel `regrid_with` is not covered by the conformance op table"),
         "{text}"
     );
 }
