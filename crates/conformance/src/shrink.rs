@@ -11,7 +11,7 @@
 
 use crate::case::{Case, CellValue};
 
-/// Upper bound on candidate evaluations — each one runs five engines, so
+/// Upper bound on candidate evaluations — each one runs six engines, so
 /// this caps shrinking at a few seconds even for pathological cases.
 const MAX_CHECKS: usize = 600;
 

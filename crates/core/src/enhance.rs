@@ -14,6 +14,7 @@
 //! wall-clock mapping of the history dimension (§2.5).
 
 use crate::error::{Error, Result};
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -291,7 +292,7 @@ pub struct IrregularMap {
 
 impl IrregularMap {
     /// Creates an irregular map; each dimension's coordinates must be
-    /// strictly increasing.
+    /// finite and strictly increasing.
     pub fn new(
         name: impl Into<String>,
         out_names: Vec<String>,
@@ -301,6 +302,10 @@ impl IrregularMap {
             return Err(Error::dimension("output name per dimension required"));
         }
         for c in &coords {
+            if c.iter().any(|x| !x.is_finite()) {
+                return Err(Error::dimension("irregular coordinates must be finite"));
+            }
+            // Finite, so `>=` is exactly "not strictly increasing".
             if c.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(Error::dimension(
                     "irregular coordinates must be strictly increasing",
@@ -316,24 +321,17 @@ impl IrregularMap {
 
     /// Nearest-cell lookup: maps a float pseudo-coordinate to the basic
     /// index whose mapped value is closest (used by `A{16.3, 48.2}`-style
-    /// addressing with measured values).
+    /// addressing with measured values). A NaN is nearest to nothing.
     pub fn nearest(&self, dim: usize, value: f64) -> Option<i64> {
         let c = &self.coords[dim];
-        if c.is_empty() {
+        if c.is_empty() || value.is_nan() {
             return None;
         }
         let i = c.partition_point(|&x| x < value);
-        let candidates = [i.saturating_sub(1), i.min(c.len() - 1)];
-        let best = candidates
-            .iter()
-            .min_by(|&&a, &&b| {
-                (c[a] - value)
-                    .abs()
-                    .partial_cmp(&(c[b] - value).abs())
-                    .unwrap()
-            })
-            .unwrap();
-        Some(*best as i64 + 1)
+        let best = [i.saturating_sub(1), i.min(c.len() - 1)]
+            .into_iter()
+            .min_by(|&a, &b| (c[a] - value).abs().total_cmp(&(c[b] - value).abs()))?;
+        Some(best as i64 + 1)
     }
 }
 
@@ -369,7 +367,12 @@ impl EnhancementFn for IrregularMap {
             let v = p
                 .as_f64()
                 .ok_or_else(|| Error::dimension("numeric pseudo-coordinate required"))?;
-            match c.binary_search_by(|x| x.partial_cmp(&v).unwrap()) {
+            if v.is_nan() {
+                return Ok(None);
+            }
+            // Finite coordinates against a non-NaN value: every pair is
+            // ordered, so the fallback is never taken.
+            match c.binary_search_by(|x| x.partial_cmp(&v).unwrap_or(Ordering::Less)) {
                 Ok(i) => out.push(i as i64 + 1),
                 Err(_) => return Ok(None),
             }
@@ -608,6 +611,33 @@ mod tests {
     #[test]
     fn irregular_map_requires_increasing() {
         assert!(IrregularMap::new("bad", vec!["p".into()], vec![vec![2.0, 1.0]]).is_err());
+    }
+
+    /// NaN never reaches a comparison: a map cannot hold one (so no lookup
+    /// on such a map can panic), and looking one up finds nothing.
+    #[test]
+    fn irregular_map_nan_is_rejected_or_not_found() {
+        let p = || vec!["p".to_string()];
+        for bad in [
+            vec![1.0, f64::NAN],
+            vec![f64::NAN, 1.0],
+            vec![f64::NAN],
+            vec![1.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY, 1.0],
+        ] {
+            assert!(
+                IrregularMap::new("bad", p(), vec![bad.clone()]).is_err(),
+                "{bad:?}"
+            );
+        }
+        let m = IrregularMap::new("irr", p(), vec![vec![16.3, 27.6, 48.2]]).unwrap();
+        assert_eq!(m.inverse(&[PseudoValue::Float(f64::NAN)]).unwrap(), None);
+        assert_eq!(
+            m.inverse(&[PseudoValue::Float(f64::INFINITY)]).unwrap(),
+            None
+        );
+        assert_eq!(m.nearest(0, f64::NAN), None);
+        assert_eq!(m.nearest(0, f64::NEG_INFINITY), Some(1));
     }
 
     #[test]

@@ -292,11 +292,20 @@ fn to_tri(v: &Value) -> Result<Option<bool>> {
     }
 }
 
+/// Both operands of a comparison or arithmetic operator as scalars; a
+/// nested array operand (an attribute of array type) has no scalar view.
+fn scalar_operands<'a>(what: &str, a: &'a Value, b: &'a Value) -> Result<(&'a Scalar, &'a Scalar)> {
+    match (a.as_scalar(), b.as_scalar()) {
+        (Some(sa), Some(sb)) => Ok((sa, sb)),
+        _ => Err(Error::eval(format!("cannot {what} a nested array"))),
+    }
+}
+
 fn eval_cmp(op: BinOp, a: Value, b: Value) -> Result<Value> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
     }
-    let (sa, sb) = (a.as_scalar().unwrap(), b.as_scalar().unwrap());
+    let (sa, sb) = scalar_operands("compare", &a, &b)?;
     let ord = sa
         .compare(sb)
         .ok_or_else(|| Error::eval(format!("cannot compare {sa} with {sb}")))?;
@@ -317,7 +326,7 @@ fn eval_arith(op: BinOp, a: Value, b: Value) -> Result<Value> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
     }
-    let (sa, sb) = (a.as_scalar().unwrap(), b.as_scalar().unwrap());
+    let (sa, sb) = scalar_operands("do arithmetic on", &a, &b)?;
     // Uncertain operands trigger §2.13 error propagation.
     if matches!(sa, Scalar::Uncertain(_)) || matches!(sb, Scalar::Uncertain(_)) {
         let (ua, ub) = (

@@ -5,7 +5,7 @@
 //!
 //! xtask itself is dependency-free, so this shells out to `cargo run`
 //! rather than linking the harness; the child process's exit code is the
-//! verdict (0 = every case byte-identical across all five backends).
+//! verdict (0 = every case byte-identical across all six engines).
 
 use crate::{Options, Outcome};
 use std::path::Path;

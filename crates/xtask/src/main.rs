@@ -23,8 +23,9 @@ bench-gate  Benchmark regression gate: compares target/chaos-smoke.json +
             and server counters must match exactly.
 
 conformance Differential conformance harness: each seeded random pipeline
-            runs through five engines (serial, parallel, grid, remote,
-            relational) and must produce byte-identical canonical answers.
+            runs through six engines (serial, parallel, grid, durable,
+            remote, relational) and must produce byte-identical canonical
+            answers.
             Replays the pinned corpus in tests/conformance-corpus/, then the seed
             range. Shrunk repros of any divergence land in
             target/conformance-failures/.

@@ -99,3 +99,34 @@ fn mismatched_shape_operator_inputs_are_err() {
     // Regrid with the wrong number of factors (rank mismatch).
     assert!(ops::regrid::regrid(&a, &[2], "avg", &r).is_err());
 }
+
+#[test]
+fn nested_attribute_operands_are_err() {
+    let inner = Arc::new(
+        SchemaBuilder::new("I")
+            .attr("x", ScalarType::Int64)
+            .dim("k", 2)
+            .build()
+            .unwrap(),
+    );
+    let schema = SchemaBuilder::new("A")
+        .attr("v", ScalarType::Int64)
+        .nested_attr("m", inner.clone())
+        .dim("i", 2)
+        .build()
+        .unwrap();
+    let mut a = Array::new(schema);
+    a.fill_with(|c| {
+        let nested = Array::from_arc(inner.clone());
+        vec![Value::from(c[0]), Value::Array(Box::new(nested))]
+    })
+    .unwrap();
+    let mut db = scidb::query::Database::new();
+    db.put_array("A", a).unwrap();
+    // A comparison and an arithmetic operator over a nested attribute are
+    // typed evaluation errors, not panics.
+    for q in ["filter(A, m > 1)", "apply(A, w, m + 1)"] {
+        let err = db.query(q).expect_err(q);
+        assert!(err.to_string().contains("nested array"), "{q}: {err}");
+    }
+}

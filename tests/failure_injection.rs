@@ -1,74 +1,146 @@
 //! Failure injection: corrupt files, truncated payloads, and byte flips
 //! must surface as `Err` — never as panics or silently wrong data.
+//!
+//! The byte-flip sweeps are exhaustive where the payload is small (every
+//! bucket byte) and seeded where it is not (`SmallRng` over a fixed seed
+//! range, so a failure names its seed and replays exactly).
 
+use scidb::core::rng::SmallRng;
 use scidb::insitu::{write_h5, write_netcdf, write_sddf, DatasetSpec};
 use scidb::storage::wal::{self, Record};
 use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
 use scidb::{Array, Error, ScalarType, SchemaBuilder, Value};
 
 include!("support/hostile_images.rs");
-include!("support/failure_fixtures.rs");
+
+fn sample(n: i64) -> Array {
+    let schema = SchemaBuilder::new("s")
+        .attr("v", ScalarType::Float64)
+        .attr("n", ScalarType::Int64)
+        .dim_chunked("x", n, 8)
+        .dim_chunked("y", n, 8)
+        .build()
+        .unwrap();
+    let mut a = Array::new(schema);
+    a.fill_with(|c| {
+        vec![
+            Value::from((c[0] * 100 + c[1]) as f64),
+            Value::from(c[0] - c[1]),
+        ]
+    })
+    .unwrap();
+    a
+}
+
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("scidb_fi_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The bucket policies: the default, and the adaptive one every durable
+/// bucket is written with (it emits RLE sections).
+fn policies() -> [CodecPolicy; 2] {
+    [CodecPolicy::default_policy(), CodecPolicy::adaptive()]
+}
 
 #[test]
 fn truncated_buckets_error_at_every_length() {
     let a = sample(16);
     let chunk = a.chunks().values().next().unwrap();
-    let bytes = serialize_chunk(chunk, CodecPolicy::default_policy()).unwrap();
-    // Every strict prefix must fail to deserialize (no partial results).
-    for len in 0..bytes.len() {
+    for policy in policies() {
+        let bytes = serialize_chunk(chunk, policy).unwrap();
+        // Every strict prefix must fail to deserialize (no partial results).
+        for len in 0..bytes.len() {
+            assert!(
+                deserialize_chunk(&bytes[..len]).is_err(),
+                "{policy:?}: prefix of {len} bytes must not deserialize"
+            );
+        }
+    }
+}
+
+/// A byte change anywhere in a bucket either errors or decodes to *some*
+/// chunk — it never panics. (A flip in a value payload can be silent; the
+/// header and structure must stay robust.) Every position × three deltas.
+#[test]
+fn bucket_byte_flips_never_panic() {
+    let a = sample(8);
+    let chunk = a.chunks().values().next().unwrap();
+    for policy in policies() {
+        let bytes = serialize_chunk(chunk, policy).unwrap();
+        for pos in 0..bytes.len() {
+            for delta in [0x01u8, 0x80, 0xff] {
+                let mut flipped = bytes.clone();
+                flipped[pos] = flipped[pos].wrapping_add(delta);
+                let decoded = std::panic::catch_unwind(|| deserialize_chunk(&flipped).is_ok());
+                assert!(
+                    decoded.is_ok(),
+                    "{policy:?}: byte {pos} + {delta:#04x} panicked"
+                );
+            }
+        }
+    }
+}
+
+/// Writes an 8×8 array in in-situ format `which` (0 netcdf, 1 h5, 2 sddf),
+/// adds `delta` to the byte at `pos_frac` of the file's length, then opens
+/// and reads it whole: any `Err` is fine, a panic is not.
+fn flip_insitu_file(tag: &str, which: usize, pos_frac: f64, delta: u8) {
+    let dir = tmp_dir(tag);
+    let schema = SchemaBuilder::new("f")
+        .attr("v", ScalarType::Float64)
+        .dim_chunked("x", 8, 8)
+        .dim_chunked("y", 8, 8)
+        .build()
+        .unwrap();
+    let mut a = Array::new(schema);
+    a.fill_with(|c| vec![Value::from((c[0] + c[1]) as f64)])
+        .unwrap();
+    let path = dir.join(format!("flip_{which}.bin"));
+    match which {
+        0 => write_netcdf(&path, &a, &[]).unwrap(),
+        1 => write_h5(
+            &path,
+            &[DatasetSpec {
+                path: "/d".into(),
+                array: &a,
+            }],
+        )
+        .unwrap(),
+        _ => write_sddf(&path, &a, CodecPolicy::default_policy()).unwrap(),
+    };
+    let mut bytes = std::fs::read(&path).unwrap();
+    let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
+    bytes[pos] = bytes[pos].wrapping_add(delta);
+    std::fs::write(&path, &bytes).unwrap();
+    if let Ok(mut src) = scidb::insitu::open(&path) {
+        let _ = src.read_all();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The in-situ byte-flip property for every format reader.
+#[test]
+fn insitu_byte_flips_never_panic() {
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let which = rng.gen_range(0..3usize);
+        let pos_frac = rng.gen_range(0.0..1.0);
+        let delta = rng.gen_range(1..=255u32) as u8;
+        let read = std::panic::catch_unwind(|| flip_insitu_file("flip", which, pos_frac, delta));
         assert!(
-            deserialize_chunk(&bytes[..len]).is_err(),
-            "prefix of {len} bytes must not deserialize"
+            read.is_ok(),
+            "seed {seed}: format {which}, byte at {pos_frac} + {delta} panicked"
         );
     }
 }
 
-/// Pinned regressions from `proptests/tests/failure_injection.proptest-regressions`:
-/// the shrunk byte-flip cases that once panicked in the h5 and sddf readers.
+/// Shrunk byte-flip cases that once panicked in the h5 and sddf readers.
 #[test]
 fn pinned_insitu_byte_flip_regressions() {
-    for (which, pos_frac, delta) in [
-        (2usize, 0.14042798303070844f64, 128u8),
-        (1, 0.9943464580828132, 1),
-    ] {
-        let dir = tmp_dir(&format!("flip_pin_{which}"));
-        let schema = SchemaBuilder::new("f")
-            .attr("v", ScalarType::Float64)
-            .dim_chunked("x", 8, 8)
-            .dim_chunked("y", 8, 8)
-            .build()
-            .unwrap();
-        let mut a = Array::new(schema);
-        a.fill_with(|c| vec![Value::from((c[0] + c[1]) as f64)])
-            .unwrap();
-        let path = dir.join(format!("flip_{which}.bin"));
-        match which {
-            0 => {
-                write_netcdf(&path, &a, &[]).unwrap();
-            }
-            1 => {
-                write_h5(
-                    &path,
-                    &[DatasetSpec {
-                        path: "/d".into(),
-                        array: &a,
-                    }],
-                )
-                .unwrap();
-            }
-            _ => {
-                write_sddf(&path, &a, CodecPolicy::default_policy()).unwrap();
-            }
-        }
-        let mut bytes = std::fs::read(&path).unwrap();
-        let pos = ((bytes.len() - 1) as f64 * pos_frac) as usize;
-        bytes[pos] = bytes[pos].wrapping_add(delta);
-        std::fs::write(&path, &bytes).unwrap();
-        if let Ok(mut src) = scidb::insitu::open(&path) {
-            let _ = src.read_all();
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    flip_insitu_file("flip_pin", 2, 0.14042798303070844, 128);
+    flip_insitu_file("flip_pin", 1, 0.9943464580828132, 1);
 }
 
 #[test]
