@@ -184,10 +184,11 @@ impl Column {
 
     /// Reads cell `idx` as a [`Value`].
     pub fn get(&self, idx: usize) -> Value {
-        if self.is_null(idx) {
-            return Value::Null;
-        }
         match self {
+            Column::Nested { data } => data[idx]
+                .as_ref()
+                .map_or(Value::Null, |a| Value::Array(Box::new(a.clone()))),
+            _ if self.is_null(idx) => Value::Null,
             Column::Int64 { data, .. } => Value::Scalar(Scalar::Int64(data[idx])),
             Column::Float64 { data, .. } => Value::Scalar(Scalar::Float64(data[idx])),
             Column::Bool { data, .. } => Value::Scalar(Scalar::Bool(data[idx])),
@@ -195,7 +196,6 @@ impl Column {
             Column::Uncertain { means, sigmas, .. } => Value::Scalar(Scalar::Uncertain(
                 Uncertain::new(means[idx], sigmas.get(idx)),
             )),
-            Column::Nested { data } => Value::Array(Box::new(data[idx].clone().unwrap())),
         }
     }
 
@@ -495,9 +495,9 @@ impl Chunk {
     }
 
     /// Forces densification (bulk paths call this before columnar kernels).
-    pub fn densify(&mut self) {
+    pub fn densify(&mut self) -> Result<()> {
         if self.is_dense() {
-            return;
+            return Ok(());
         }
         let len = self.capacity();
         let mut present = BitVec::filled(len, false);
@@ -510,12 +510,12 @@ impl Chunk {
             for (&idx, rec) in cells {
                 present.set(idx, true);
                 for (col, val) in columns.iter_mut().zip(rec) {
-                    // Types were validated on insert.
-                    col.set(idx, val).expect("validated on insert");
+                    col.set(idx, val)?;
                 }
             }
         }
         self.repr = Repr::Dense { present, columns };
+        Ok(())
     }
 
     /// Row-major offset of `coords` within this chunk.
@@ -644,12 +644,11 @@ impl Chunk {
         Ok(())
     }
 
-    fn maybe_densify(&mut self) {
+    fn maybe_densify(&mut self) -> Result<()> {
         let threshold = (self.capacity() / DENSIFY_DIVISOR).max(1);
-        if let Repr::Sparse(cells) = &self.repr {
-            if cells.len() >= threshold {
-                self.densify();
-            }
+        match &self.repr {
+            Repr::Sparse(cells) if cells.len() >= threshold => self.densify(),
+            _ => Ok(()),
         }
     }
 
@@ -686,7 +685,7 @@ impl Chunk {
                 if let Repr::Sparse(cells) = &mut self.repr {
                     cells.insert(idx, normalized);
                 }
-                self.maybe_densify();
+                self.maybe_densify()?;
             }
             Repr::Dense { present, columns } => {
                 for (col, val) in columns.iter_mut().zip(record) {
@@ -807,7 +806,7 @@ mod tests {
             .set_record(&[2, 2], &record([Value::from(9.0)]))
             .unwrap();
         let mut dense = float_chunk();
-        dense.densify();
+        dense.densify().unwrap();
         dense
             .set_record(&[2, 2], &record([Value::from(9.0)]))
             .unwrap();
@@ -833,7 +832,7 @@ mod tests {
             c.set_record(&[1, 1], &record([Value::from("oops")])),
             Err(Error::Schema(_))
         ));
-        c.densify();
+        c.densify().unwrap();
         assert!(matches!(
             c.set_record(&[1, 1], &record([Value::from("oops")])),
             Err(Error::Schema(_))
@@ -845,7 +844,7 @@ mod tests {
         let mut c = float_chunk();
         c.set_record(&[1, 1], &record([Value::from(3i64)])).unwrap();
         assert_eq!(c.get_value(0, &[1, 1]), Some(Value::from(3.0)));
-        c.densify();
+        c.densify().unwrap();
         assert_eq!(c.get_value(0, &[1, 1]), Some(Value::from(3.0)));
     }
 
@@ -864,7 +863,7 @@ mod tests {
         c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
         c.clear_cell(&[1, 1]);
         assert!(!c.cell_present(&[1, 1]));
-        c.densify();
+        c.densify().unwrap();
         c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
         c.clear_cell(&[1, 1]);
         assert!(!c.cell_present(&[1, 1]));
@@ -877,7 +876,7 @@ mod tests {
         c.set_record(&[1, 4], &record([Value::from(2.0)])).unwrap();
         let coords: Vec<_> = c.iter_present().map(|(co, _)| co).collect();
         assert_eq!(coords, vec![vec![1, 4], vec![2, 1]]);
-        c.densify();
+        c.densify().unwrap();
         let coords: Vec<_> = c.iter_present().map(|(co, _)| co).collect();
         assert_eq!(coords, vec![vec![1, 4], vec![2, 1]]);
     }
@@ -972,7 +971,7 @@ mod tests {
             c.get_record(&[1, 1]),
             Some(vec![Value::from(true), Value::from("hi")])
         );
-        c.densify();
+        c.densify().unwrap();
         assert_eq!(
             c.get_record(&[1, 1]),
             Some(vec![Value::from(true), Value::from("hi")])

@@ -256,7 +256,9 @@ pub fn reshape(a: &Array, order: &[&str], new_dims: &[(String, i64)]) -> Result<
 
     // Permuted extents for linearization.
     let perm_lens: Vec<i64> = perm.iter().map(|&d| old_rect.len(d)).collect();
-    let new_rect = out.rect().expect("bounded by construction");
+    let new_rect = out
+        .rect()
+        .ok_or_else(|| Error::dimension("reshape output must be bounded"))?;
 
     for (coords, rec) in a.cells() {
         // Linear position with `order[0]` slowest, `order[last]` fastest.

@@ -32,9 +32,16 @@ macro_rules! register {
         if $map.contains_key(&name) {
             return Err(Error::AlreadyExists(format!(concat!($kind, " '{}'"), name)));
         }
-        $map.insert(name, $obj);
+        insert(&mut $map, name, $obj);
         Ok(())
     }};
+}
+
+/// Files `obj` under `name` (already lower-cased). Infallible: `register!`
+/// rules out a duplicate first, and the builtins are distinct by
+/// construction.
+fn insert<T>(map: &mut HashMap<String, T>, name: String, obj: T) {
+    map.insert(name, obj);
 }
 
 macro_rules! lookup {
@@ -127,6 +134,8 @@ impl Registry {
     }
 
     fn install_builtins(&mut self) {
+        let mut scalar =
+            |f: Arc<dyn ScalarFn>| insert(&mut self.scalars, f.name().to_ascii_lowercase(), f);
         let unary = |name: &str, f: fn(f64) -> f64| {
             Arc::new(ClosureFn::unary_f64(name, f)) as Arc<dyn ScalarFn>
         };
@@ -140,11 +149,11 @@ impl Registry {
             ("sin", f64::sin),
             ("cos", f64::cos),
         ] {
-            self.register_scalar_fn(unary(name, f)).unwrap();
+            scalar(unary(name, f));
         }
         // even/odd over integers — used by the paper's Subsample example
         // `Subsample(F, even(X))`.
-        self.register_scalar_fn(Arc::new(ClosureFn::new(
+        scalar(Arc::new(ClosureFn::new(
             "even",
             Some(1),
             |args| match args[0].as_i64() {
@@ -152,9 +161,8 @@ impl Registry {
                 None if args[0].is_null() => Ok(Value::Null),
                 None => Err(Error::eval("even: integer argument required")),
             },
-        )))
-        .unwrap();
-        self.register_scalar_fn(Arc::new(ClosureFn::new(
+        )));
+        scalar(Arc::new(ClosureFn::new(
             "odd",
             Some(1),
             |args| match args[0].as_i64() {
@@ -162,10 +170,9 @@ impl Registry {
                 None if args[0].is_null() => Ok(Value::Null),
                 None => Err(Error::eval("odd: integer argument required")),
             },
-        )))
-        .unwrap();
+        )));
         // Uncertainty accessors (§2.13).
-        self.register_scalar_fn(Arc::new(ClosureFn::new(
+        scalar(Arc::new(ClosureFn::new(
             "err",
             Some(1),
             |args| match &args[0] {
@@ -175,9 +182,8 @@ impl Registry {
                     None => Err(Error::eval("err: numeric argument required")),
                 },
             },
-        )))
-        .unwrap();
-        self.register_scalar_fn(Arc::new(ClosureFn::new(
+        )));
+        scalar(Arc::new(ClosureFn::new(
             "mean",
             Some(1),
             |args| match &args[0] {
@@ -187,9 +193,8 @@ impl Registry {
                     None => Err(Error::eval("mean: numeric argument required")),
                 },
             },
-        )))
-        .unwrap();
-        self.register_scalar_fn(Arc::new(ClosureFn::new("uncertain", Some(2), |args| {
+        )));
+        scalar(Arc::new(ClosureFn::new("uncertain", Some(2), |args| {
             if args[0].is_null() || args[1].is_null() {
                 return Ok(Value::Null);
             }
@@ -202,10 +207,9 @@ impl Registry {
                     .ok_or_else(|| Error::eval("uncertain: numeric sigma required"))?,
             );
             Ok(Value::from(Uncertain::new(m, s)))
-        })))
-        .unwrap();
+        })));
         // P(value < threshold) for uncertain filters.
-        self.register_scalar_fn(Arc::new(ClosureFn::new("prob_below", Some(2), |args| {
+        scalar(Arc::new(ClosureFn::new("prob_below", Some(2), |args| {
             if args[0].is_null() || args[1].is_null() {
                 return Ok(Value::Null);
             }
@@ -217,8 +221,7 @@ impl Registry {
                 .as_f64()
                 .ok_or_else(|| Error::eval("prob_below: numeric threshold required"))?;
             Ok(Value::from(u.cdf(t)))
-        })))
-        .unwrap();
+        })));
 
         for agg in [
             Builtin::Count,
@@ -229,7 +232,11 @@ impl Registry {
             Builtin::Stddev,
             Builtin::Var,
         ] {
-            self.register_aggregate(Arc::new(agg)).unwrap();
+            insert(
+                &mut self.aggregates,
+                agg.name().to_ascii_lowercase(),
+                Arc::new(agg),
+            );
         }
     }
 }
@@ -525,6 +532,8 @@ mod tests {
             assert!(r.scalar_fn(name).is_ok(), "missing builtin {name}");
         }
         assert!(r.scalar_fn("nope").is_err());
+        // Builtins skip the duplicate check: 14 inserts, 14 distinct names.
+        assert_eq!(r.scalar_fn_names().len(), 14);
     }
 
     #[test]

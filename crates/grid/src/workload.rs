@@ -69,8 +69,12 @@ pub fn survey_workload(space: &HyperRect, tile: i64) -> Workload {
                 (x + tile - 1).min(space.high[0]),
                 (y + tile - 1).min(space.high[1]),
             ];
+            // `x <= hi[0]` and `y <= hi[1]`: a valid rect by construction.
             queries.push(QuerySpec {
-                region: HyperRect::new(vec![x, y], hi).expect("tile within space"),
+                region: HyperRect {
+                    low: vec![x, y],
+                    high: hi,
+                },
                 weight: 1.0,
             });
             y += tile;
@@ -96,18 +100,19 @@ pub fn steerable_workload(
     for q in &mut w.queries {
         q.weight = 0.05; // faint background survey
     }
+    // A side of at least 1 keeps every hotspot a valid rect.
+    let side = hotspot_side.max(1);
     for _ in 0..n_hotspots {
-        let x = rng.gen_range(space.low[0]..=(space.high[0] - hotspot_side + 1).max(space.low[0]));
-        let y = rng.gen_range(space.low[1]..=(space.high[1] - hotspot_side + 1).max(space.low[1]));
+        let x = rng.gen_range(space.low[0]..=(space.high[0] - side + 1).max(space.low[0]));
+        let y = rng.gen_range(space.low[1]..=(space.high[1] - side + 1).max(space.low[1]));
         w.queries.push(QuerySpec {
-            region: HyperRect::new(
-                vec![x, y],
-                vec![
-                    (x + hotspot_side - 1).min(space.high[0]),
-                    (y + hotspot_side - 1).min(space.high[1]),
+            region: HyperRect {
+                low: vec![x, y],
+                high: vec![
+                    (x + side - 1).min(space.high[0]),
+                    (y + side - 1).min(space.high[1]),
                 ],
-            )
-            .expect("hotspot within space"),
+            },
             weight: hotspot_weight,
         });
     }
@@ -133,7 +138,8 @@ pub fn recency_workload(space: &HyperRect, dim: usize, n_slabs: i64) -> Workload
         // Most recent slab gets the most weight: 1/(rank from the end).
         let rank_from_end = (n_slabs - k) as f64;
         queries.push(QuerySpec {
-            region: HyperRect::new(low, high).expect("slab within space"),
+            // `lo <= hi` on `dim`, the other sides copied from `space`.
+            region: HyperRect { low, high },
             weight: 1.0 / rank_from_end,
         });
     }

@@ -109,9 +109,8 @@ pub(crate) mod wire {
     pub(crate) fn u32_at(data: &[u8], pos: &mut usize) -> Result<u32> {
         let b: [u8; 4] = data
             .get(*pos..*pos + 4)
-            .ok_or_else(|| Error::storage("u32 truncated"))?
-            .try_into()
-            .unwrap();
+            .and_then(|s| s.try_into().ok())
+            .ok_or_else(|| Error::storage("u32 truncated"))?;
         *pos += 4;
         Ok(u32::from_le_bytes(b))
     }
@@ -119,9 +118,8 @@ pub(crate) mod wire {
     pub(crate) fn u64_at(data: &[u8], pos: &mut usize) -> Result<u64> {
         let b: [u8; 8] = data
             .get(*pos..*pos + 8)
-            .ok_or_else(|| Error::storage("u64 truncated"))?
-            .try_into()
-            .unwrap();
+            .and_then(|s| s.try_into().ok())
+            .ok_or_else(|| Error::storage("u64 truncated"))?;
         *pos += 8;
         Ok(u64::from_le_bytes(b))
     }

@@ -250,22 +250,25 @@ impl InSituSource for H5LiteReader {
 
     fn read_region(&mut self, region: &HyperRect) -> Result<Array> {
         let mut out = Array::from_arc(Arc::clone(&self.schema));
-        let hits: Vec<(HyperRect, u64, u64)> = self
+        let hits: Vec<(HyperRect, HyperRect, u64, u64)> = self
             .chunks
             .iter()
-            .filter(|c| c.rect.intersects(region))
-            .map(|c| (c.rect.clone(), c.offset, c.len))
+            .filter_map(|c| {
+                Some((
+                    c.rect.clone(),
+                    c.rect.intersection(region)?,
+                    c.offset,
+                    c.len,
+                ))
+            })
             .collect();
-        for (rect, offset, len) in hits {
+        for (rect, clip, offset, len) in hits {
             let bytes = self.file.read_at(offset, len as usize)?;
             if bytes.len() != rect.volume() as usize * 8 {
                 return Err(Error::storage("H5LT chunk length mismatch"));
             }
-            let clip = rect.intersection(region).expect("intersecting");
             for coords in clip.iter_cells() {
-                let idx = rect.linearize(&coords);
-                let w: [u8; 8] = bytes[idx * 8..idx * 8 + 8].try_into().unwrap();
-                let v = f64::from_le_bytes(w);
+                let v = f64::from_bits(u64_at(&bytes, &mut (rect.linearize(&coords) * 8))?);
                 if !v.is_nan() {
                     out.set_cell(&coords, record([Value::from(v)]))?;
                 }

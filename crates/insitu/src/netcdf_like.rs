@@ -37,9 +37,9 @@ pub fn write_netcdf(path: &Path, array: &Array, global_attrs: &[(&str, &str)]) -
     put_u32(&mut header, VERSION);
     // Dimension list.
     put_u32(&mut header, schema.dims().len() as u32);
-    for d in schema.dims() {
+    for (d, &len) in schema.dims().iter().zip(&rect.high) {
         put_str(&mut header, &d.name);
-        put_i64(&mut header, d.upper.expect("bounded"));
+        put_i64(&mut header, len);
     }
     // Global attributes.
     put_u32(&mut header, global_attrs.len() as u32);
@@ -120,7 +120,7 @@ impl NetcdfReader {
         // Headers are small; read a generous prefix.
         let head_len = (file.len()? as usize).min(64 * 1024);
         let head = file.read_at(0, head_len)?;
-        if &head[..4] != MAGIC {
+        if head.get(..4) != Some(&MAGIC[..]) {
             return Err(Error::storage("bad NCDF magic"));
         }
         let mut pos = 4usize;
@@ -137,6 +137,7 @@ impl NetcdfReader {
             return Err(Error::storage("corrupt NCDF dimension count"));
         }
         let mut dims = Vec::with_capacity(n_dims);
+        let mut high = Vec::with_capacity(n_dims);
         for _ in 0..n_dims {
             let name = str_at(&head, &mut pos)?;
             let len = i64_at(&head, &mut pos)?;
@@ -146,6 +147,7 @@ impl NetcdfReader {
                 )));
             }
             dims.push(DimensionDef::bounded(name, len));
+            high.push(len);
         }
         let n_globals = u32_at(&head, &mut pos)? as usize;
         if n_globals > head.len() / 8 {
@@ -177,8 +179,8 @@ impl NetcdfReader {
         }
         let schema = Arc::new(ArraySchema::new("ncdf", attrs, dims)?);
         let rect = HyperRect {
-            low: vec![1; schema.rank()],
-            high: schema.dims().iter().map(|d| d.upper.unwrap()).collect(),
+            low: vec![1; high.len()],
+            high,
         };
         // Every variable's dense data must fit inside the file; this also
         // bounds the offset arithmetic in `read_region`.
@@ -247,10 +249,10 @@ impl InSituSource for NetcdfReader {
                 let mut rec: Record = Vec::with_capacity(self.vars.len());
                 let mut any = false;
                 for (vi, var) in self.vars.iter().enumerate() {
-                    let w: [u8; 8] = var_runs[vi][k * 8..k * 8 + 8].try_into().unwrap();
+                    let w = u64_at(&var_runs[vi], &mut (k * 8))?;
                     match var.ty {
                         TYPE_F64 => {
-                            let v = f64::from_le_bytes(w);
+                            let v = f64::from_bits(w);
                             if v.is_nan() {
                                 rec.push(Value::Null);
                             } else {
@@ -260,7 +262,7 @@ impl InSituSource for NetcdfReader {
                         }
                         _ => {
                             any = true;
-                            rec.push(Value::from(i64::from_le_bytes(w)));
+                            rec.push(Value::from(w as i64));
                         }
                     }
                 }

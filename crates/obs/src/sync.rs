@@ -13,9 +13,9 @@
 //! This module is the one lock module of the workspace: it owns the rank
 //! table, the witness, and the `std`-backed [`OrderedMutex`] and
 //! [`OrderedRwLock`] every crate uses (this crate is dependency-free by
-//! design). The static analyzer (`cargo xtask analyze`, rules R7/R8)
-//! enforces that raw `Mutex`/`RwLock`/`Condvar` appear *only* in this file
-//! and that the static acquisition graph is consistent with this table.
+//! design). The static analyzer (`cargo xtask analyze`) enforces that raw
+//! `Mutex`/`RwLock`/`Condvar` appear *only* in this file (R3) and that the
+//! static acquisition graph is consistent with this table (R7/R8).
 
 use std::cell::{Cell, RefCell};
 use std::fmt;

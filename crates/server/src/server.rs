@@ -13,7 +13,8 @@
 //! `scidb.server.admission_rejects`), request wall time lands in the
 //! `scidb.server.request_us` histogram, and each request runs under a
 //! `request [server]` span whose `request_type` attribute names the
-//! operation (the xtask R9 rule pins this for every request variant).
+//! operation (`request_name` matches `Request` exhaustively, so every
+//! variant has one).
 //! Under negotiated protocol version >= 1 every post-handshake response
 //! carries a [`QueryStats`] trailer (DESIGN.md §14).
 

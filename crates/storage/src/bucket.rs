@@ -358,14 +358,7 @@ pub fn deserialize_chunk(data: &[u8]) -> Result<Chunk> {
 
         let null_codec = read_codec(data, &mut pos)?;
         let null_bytes = decode_bytes(get_section(data, &mut pos)?, null_codec)?;
-        if null_bytes.len() < n_present.div_ceil(64) * 8 {
-            return Err(Error::storage("null bitmap too short"));
-        }
-        let words: Vec<u64> = null_bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        let nulls = BitVec::from_words(words[..n_present.div_ceil(64)].to_vec(), n_present);
+        let nulls = bits_from_le(&null_bytes, n_present, "null bitmap")?;
 
         // Column-at-a-time decode: each typed payload is decoded into one
         // contiguous vector; cell values are never materialized one by one.
@@ -385,15 +378,7 @@ pub fn deserialize_chunk(data: &[u8]) -> Result<Chunk> {
             AttrType::Scalar(ScalarType::Bool) => {
                 let codec = read_codec(data, &mut pos)?;
                 let bytes = decode_bytes(get_section(data, &mut pos)?, codec)?;
-                if bytes.len() < n_present.div_ceil(64) * 8 {
-                    return Err(Error::storage("bool bitmap too short"));
-                }
-                let words: Vec<u64> = bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                let bits = BitVec::from_words(words[..n_present.div_ceil(64)].to_vec(), n_present);
-                DecodedCol::Bool(bits)
+                DecodedCol::Bool(bits_from_le(&bytes, n_present, "bool bitmap")?)
             }
             AttrType::Scalar(ScalarType::String) => {
                 let codec = read_codec(data, &mut pos)?;
@@ -582,6 +567,17 @@ fn scatter_column(col: DecodedCol, nulls: &BitVec, offsets: &[i64], capacity: us
             }
         }
     }
+}
+
+/// The first `n` bits of a bitmap stored as little-endian `u64` words.
+fn bits_from_le(bytes: &[u8], n: usize, what: &str) -> Result<BitVec> {
+    let words = bytes
+        .as_chunks::<8>()
+        .0
+        .get(..n.div_ceil(64))
+        .ok_or_else(|| Error::storage(format!("{what} too short")))?;
+    let words = words.iter().map(|&w| u64::from_le_bytes(w)).collect();
+    Ok(BitVec::from_words(words, n))
 }
 
 fn check_len(got: usize, want: usize) -> Result<()> {

@@ -187,9 +187,8 @@ pub fn decode_i64s(data: &[u8], codec: Codec) -> Result<Vec<i64>> {
 fn read_i64(data: &[u8], pos: &mut usize) -> Result<i64> {
     let bytes: [u8; 8] = data
         .get(*pos..*pos + 8)
-        .ok_or_else(|| Error::storage("i64 truncated"))?
-        .try_into()
-        .unwrap();
+        .and_then(|b| b.try_into().ok())
+        .ok_or_else(|| Error::storage("i64 truncated"))?;
     *pos += 8;
     Ok(i64::from_le_bytes(bytes))
 }

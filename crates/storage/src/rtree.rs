@@ -196,20 +196,21 @@ impl<T: Clone> RTree<T> {
                 Some((lr, Node::Leaf(left), rr, Node::Leaf(right)))
             }
             Node::Inner(children) => {
-                // Choose the child needing least enlargement.
-                let best = (0..children.len())
-                    .min_by(|&i, &j| {
-                        let ei = enlargement(&children[i].0, &rect);
-                        let ej = enlargement(&children[j].0, &rect);
-                        ei.partial_cmp(&ej)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then_with(|| {
-                                area(&children[i].0)
-                                    .partial_cmp(&area(&children[j].0))
-                                    .unwrap_or(std::cmp::Ordering::Equal)
-                            })
-                    })
-                    .expect("inner node has children");
+                // Choose the child needing least enlargement, the first
+                // on a tie. Splits leave every inner node a child at 0.
+                let cmp = |i: usize, j: usize| {
+                    let ei = enlargement(&children[i].0, &rect);
+                    let ej = enlargement(&children[j].0, &rect);
+                    ei.partial_cmp(&ej)
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then_with(|| {
+                            area(&children[i].0)
+                                .partial_cmp(&area(&children[j].0))
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                };
+                let best =
+                    (1..children.len()).fold(0, |b, i| if cmp(b, i).is_gt() { i } else { b });
                 children[best].0 = children[best].0.union(&rect);
                 if let Some((r1, n1, r2, n2)) =
                     Self::insert_into(&mut children[best].1, rect, value)

@@ -26,8 +26,8 @@
 //!   derived from the gated per-query latencies. They are printed but
 //!   never fail the gate.
 //!
-//! Like `analyze`, the escape hatch is explicit: `--update-baseline`
-//! rewrites `BENCH_baseline.json` from the current run.
+//! The escape hatch is explicit: `--update-baseline` rewrites
+//! `BENCH_baseline.json` from the current run.
 //!
 //! Everything here is dependency-free (no serde): the flat JSON the
 //! benchmarks emit is parsed with a tiny `"key": number` scanner.

@@ -1,28 +1,23 @@
 //! `cargo xtask` — workspace automation for SciDB-rs.
 //!
 //! * `analyze` — a dependency-free static analyzer (no `syn`, no `serde`:
-//!   the build environment is hermetic) enforcing the ten workspace rules
+//!   the build environment is hermetic) enforcing the eight workspace rules
 //!   described in DESIGN.md §"Static analysis" and §13:
 //!   * R1 — panic-free library code,
 //!   * R2 — the parallel-kernel contract,
-//!   * R3 — concurrency containment (threads and raw mutexes only in the
-//!     one lock module, per-site annotations elsewhere),
+//!   * R3 — concurrency containment (threads and raw `Mutex`/`RwLock`/
+//!     `Condvar` only in the one lock module, per-site annotations
+//!     elsewhere),
 //!   * R4 — Result-typed public API,
 //!   * R5 — observable timing (no raw clock reads in query/storage/grid),
 //!   * R6 — conformance coverage (every parallel kernel in the
 //!     differential harness's op table),
 //!   * R7 — lock-order soundness (every acquisition edge strictly ascends
-//!     in `lock_ranks!` rank; no raw `RwLock`/`Condvar` outside the
-//!     wrappers),
-//!   * R8 — no blocking while a `CATALOG`-or-higher write guard is live,
-//!   * R9 — observable request dispatch (every wire `Request` variant
-//!     handled inside a server span carrying a `request_type` attribute),
-//!   * R10 — WAL replay coverage (every `wal::Record` variant exercised
-//!     by the kill-matrix recovery harness in `tests/recovery.rs`).
+//!     in `lock_ranks!` rank),
+//!   * R8 — no blocking while a `CATALOG`-or-higher write guard is live.
 //!
-//!   Violations are compared against the committed baseline
-//!   (`crates/xtask/analyze.baseline`): new ones fail, grandfathered ones
-//!   warn, and counts only ratchet down.
+//!   Any violation fails the run; the only exceptions are justified
+//!   per-site `// analyze: allow(Rn, why)` annotations.
 //!
 //! * `bench-gate` — the benchmark regression gate (see [`bench_gate`]):
 //!   compares the smoke-benchmark metrics against the committed
@@ -34,7 +29,6 @@
 //!   byte-identical canonical answers required, plus replay of the pinned
 //!   corpus in `tests/conformance-corpus/`.
 
-pub mod baseline;
 pub mod bench_gate;
 pub mod conformance;
 pub mod locks;
@@ -42,15 +36,11 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 
-use baseline::Baseline;
-use report::{classify, render_json, render_summary, render_text, Severity};
+use report::{render_json, render_text};
 use rules::Workspace;
 use scan::SourceFile;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-
-/// Workspace-relative location of the committed baseline.
-pub const BASELINE_PATH: &str = "crates/xtask/analyze.baseline";
 
 /// Default location of the JSON report (under `target/`, not committed).
 pub const REPORT_PATH: &str = "target/xtask-analyze.json";
@@ -58,7 +48,7 @@ pub const REPORT_PATH: &str = "target/xtask-analyze.json";
 /// CLI options for [`analyze`].
 #[derive(Debug, Default)]
 pub struct Options {
-    /// Rewrite the baseline to exactly cover current violations.
+    /// `bench-gate` only: rewrite `BENCH_baseline.json` from the current run.
     pub update_baseline: bool,
     /// Where to write the JSON report (workspace-relative); `None` uses
     /// [`REPORT_PATH`].
@@ -74,9 +64,9 @@ pub struct Options {
 /// Exit status of an analyze run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// No violations above baseline.
+    /// No violations.
     Clean,
-    /// New violations found (or the baseline is unreadable).
+    /// At least one violation.
     Failed,
 }
 
@@ -134,7 +124,7 @@ pub fn loc_table(root: &Path, ws: &Workspace) -> std::io::Result<BTreeMap<String
 
 /// Loads every `crates/*/src/**/*.rs` file (the analyzer's own crate
 /// excluded — it is tooling, not library code) plus the serial≡parallel
-/// and kill-matrix test files, with paths made workspace-relative.
+/// test file, with paths made workspace-relative.
 pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
@@ -145,11 +135,9 @@ pub fn load_workspace(root: &Path) -> std::io::Result<Workspace> {
     }
     files.sort_by(|a, b| a.path.cmp(&b.path));
     let parallel_test = std::fs::read_to_string(root.join(rules::PARALLEL_TEST_FILE)).ok();
-    let recovery_test = std::fs::read_to_string(root.join(rules::RECOVERY_TEST_FILE)).ok();
     Ok(Workspace {
         files,
         parallel_test,
-        recovery_test,
     })
 }
 
@@ -166,12 +154,8 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Runs the full analysis, printing diagnostics to `out`.
-///
-/// Returns [`Outcome::Failed`] iff there are violations above baseline.
-/// With `update_baseline`, the baseline file is rewritten first and the
-/// run then compares against the fresh baseline (so it always passes, and
-/// the diff shows the ratchet).
+/// Runs the full analysis, printing diagnostics to `out` and writing the
+/// JSON report. Returns [`Outcome::Failed`] iff there is any violation.
 pub fn analyze(
     root: &Path,
     opts: &Options,
@@ -180,54 +164,26 @@ pub fn analyze(
     let ws = load_workspace(root)?;
     let diags = rules::check_all(&ws);
 
-    let baseline_file = root.join(BASELINE_PATH);
-    if opts.update_baseline {
-        let fresh = Baseline::from_diags(&diags);
-        std::fs::write(&baseline_file, fresh.render())?;
-        writeln!(
-            out,
-            "updated {} ({} grandfathered violation(s) across {} bucket(s))",
-            BASELINE_PATH,
-            diags.len(),
-            fresh.counts.len()
-        )?;
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_file) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                writeln!(out, "error: {}: {e}", BASELINE_PATH)?;
-                return Ok(Outcome::Failed);
-            }
-        },
-        Err(_) => Baseline::default(),
-    };
-
-    let cmp = baseline.compare(&diags);
-    let classified = classify(&diags, &cmp);
-    let n_err = classified
-        .iter()
-        .filter(|(s, _)| *s == Severity::Error)
-        .count();
-    let n_warn = classified.len() - n_err;
-
     if !opts.quiet {
-        for (sev, d) in &classified {
-            write!(out, "{}", render_text(*sev, d))?;
+        for d in &diags {
+            write!(out, "{}", render_text(d))?;
         }
     }
-    write!(out, "{}", render_summary(&cmp, n_err, n_warn))?;
+    if diags.is_empty() {
+        writeln!(out, "ok: no violations")?;
+    } else {
+        writeln!(out, "error: {} violation(s)", diags.len())?;
+    }
 
     let json_path = root.join(opts.json_out.as_deref().unwrap_or(Path::new(REPORT_PATH)));
     if let Some(parent) = json_path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(&json_path, render_json(&classified, &loc_table(root, &ws)?))?;
+    std::fs::write(&json_path, render_json(&diags, &loc_table(root, &ws)?))?;
 
-    Ok(if n_err > 0 {
-        Outcome::Failed
-    } else {
+    Ok(if diags.is_empty() {
         Outcome::Clean
+    } else {
+        Outcome::Failed
     })
 }

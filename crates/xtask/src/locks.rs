@@ -19,8 +19,8 @@
 //!    non-ascending rank is an R7 edge too.
 //!
 //! **R7** (lock-order soundness) fails on any acquisition edge that does not
-//! strictly ascend in rank, and on any raw `RwLock`/`Condvar` outside the
-//! one lock module (raw `Mutex` and `thread::spawn` stay with R3).
+//! strictly ascend in rank. Raw primitives outside the one lock module are
+//! R3's.
 //! **R8** (no blocking while locked) fails on blocking operations — file
 //! I/O, channel receives, timed waits, sleeps, accepts, statement execution
 //! — lexically inside the live range of a write-exclusive guard ranked
@@ -581,39 +581,9 @@ fn build_model(ws: &Workspace) -> LockModel {
     }
 }
 
-/// R7: lock-order soundness — every acquisition edge strictly ascends, and
-/// no raw `RwLock`/`Condvar` outside the wrapper modules.
+/// R7: lock-order soundness — every acquisition edge strictly ascends.
 pub fn check_r7(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-
-    // Raw reader-writer locks and condvars belong in the wrappers (raw
-    // `Mutex` and `thread::spawn` remain R3's).
-    for file in &ws.files {
-        if is_wrapper_file(&file.path) {
-            continue;
-        }
-        for pat in ["RwLock", "Condvar"] {
-            for off in file.find_marker(pat, true) {
-                let end = off + pat.len();
-                if file.mask.as_bytes().get(end).is_some_and(|&c| is_ident(c)) {
-                    continue; // `RwLockReadGuard`, `OrderedRwLock…`, …
-                }
-                if file.in_test(off) {
-                    continue;
-                }
-                diags.extend(marker_diag(
-                    file,
-                    Rule::R7,
-                    off,
-                    format!("raw `{pat}` outside the sync wrapper module"),
-                    "use the ranked locks in `scidb_obs::sync` (every lock carries a \
-                     rank from the `lock_ranks!` registry); if a raw primitive is \
-                     unavoidable, annotate `// analyze: allow(R7, why)`",
-                ));
-            }
-        }
-    }
-
     let model = build_model(ws);
     if model.table.levels.is_empty() {
         return diags;
@@ -774,7 +744,6 @@ pub mod ranks {
                 .map(|(p, s)| SourceFile::new(PathBuf::from(p), s.to_string()))
                 .collect(),
             parallel_test: None,
-            recovery_test: None,
         }
     }
 
@@ -875,26 +844,6 @@ impl S {
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("take_low"), "{d:?}");
         assert!(d[0].message.contains("may acquire `ALPHA`"), "{d:?}");
-    }
-
-    #[test]
-    fn r7_flags_raw_rwlock_outside_the_one_lock_module() {
-        let src = "use std::sync::RwLock;\nstruct S { c: Condvar }\n";
-        let w = ws(vec![
-            ("crates/core/src/x.rs", src),
-            ("crates/core/src/sync.rs", src),
-            ("crates/obs/src/sync.rs", src),
-        ]);
-        let d = check_r7(&w);
-        assert_eq!(d.len(), 4, "{d:?}");
-        // A stray second `sync.rs` is flagged like any other file.
-        assert_eq!(
-            d.iter()
-                .filter(|x| x.path.ends_with("core/src/sync.rs"))
-                .count(),
-            2
-        );
-        assert!(d.iter().all(|x| !x.path.contains("obs")), "{d:?}");
     }
 
     #[test]

@@ -9,9 +9,9 @@ use xtask::{analyze, bench_gate::bench_gate, conformance, find_root, Options, Ou
 const USAGE: &str = "\
 cargo xtask <analyze | bench-gate | conformance> [OPTIONS]
 
-analyze     Static analysis of the SciDB workspace invariants (R1-R10; see
-            DESIGN.md). New violations fail; baseline-grandfathered ones
-            warn. Baseline: crates/xtask/analyze.baseline.
+analyze     Static analysis of the SciDB workspace invariants (R1-R8; see
+            DESIGN.md). Any violation fails; the only exception is a
+            justified `// analyze: allow(Rn, why)` at the site.
 
 bench-gate  Benchmark regression gate: compares target/chaos-smoke.json +
             target/server-load.json (and checks target/obs-smoke.json)
@@ -31,8 +31,8 @@ conformance Differential conformance harness: each seeded random pipeline
             target/conformance-failures/.
 
 Options:
-  --update-baseline   Rewrite the subcommand's committed baseline from the
-                      current state (the explicit escape hatch)
+  --update-baseline   bench-gate only: rewrite BENCH_baseline.json from the
+                      current run (the explicit escape hatch)
   --json <PATH>       analyze only: write the JSON report here
                       (default: target/xtask-analyze.json)
   --quiet             Summary only, no per-diagnostic output
@@ -61,7 +61,13 @@ fn main() -> ExitCode {
     let mut opts = Options::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--update-baseline" => opts.update_baseline = true,
+            "--update-baseline" if subcommand == "bench-gate" => opts.update_baseline = true,
+            "--update-baseline" => {
+                eprintln!(
+                    "error: --update-baseline is bench-gate only; {subcommand} has no baseline"
+                );
+                return ExitCode::FAILURE;
+            }
             "--quiet" => opts.quiet = true,
             "--json" => match args.next() {
                 Some(p) => opts.json_out = Some(PathBuf::from(p)),

@@ -1,20 +1,22 @@
-//! The SciDB-specific workspace invariants (R1–R10).
+//! The SciDB-specific workspace invariants (R1–R8). Any hit fails the run;
+//! there is no baseline of tolerated ones.
 //!
 //! * **R1** — no `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!` in
 //!   non-test code of the library crates (`core`, `storage`, `query`,
-//!   `grid`, `provenance`). The paper's no-overwrite and provenance layers
-//!   (§2.5–§2.9) hinge on library code that must not panic mid-commit.
-//!   Escape hatch: `// analyze: allow(R1, justification)`.
+//!   `grid`, `provenance`, `insitu`, `server`). The paper's no-overwrite and
+//!   provenance layers (§2.5–§2.9) hinge on library code that must not panic
+//!   mid-commit, and the in-situ readers (§2.9) parse files SciDB did not
+//!   write. Escape hatch: `// analyze: allow(R1, justification)`.
 //! * **R2** — parallel fan-out happens only inside the chunk drivers
 //!   (`map_chunks`/`fold_chunks` in `core::ops`), and every kernel — a
 //!   function under `crates/core/src/ops` that calls a driver — appears in
 //!   the serial≡parallel equivalence tests. Escape hatch, for a fan-out
 //!   site only: `// analyze: allow(R2, justification)`; nothing excuses a
 //!   kernel without equivalence tests.
-//! * **R3** — no `thread::spawn` or raw `Mutex` outside the one lock module
-//!   (`crates/obs/src/sync.rs`); concurrency goes through `ExecContext` and
-//!   the ranked locks. Every exception is a per-site annotation:
-//!   `// analyze: allow(R3, justification)`.
+//! * **R3** — no `thread::spawn` or raw `Mutex`/`RwLock`/`Condvar` outside
+//!   the one lock module (`crates/obs/src/sync.rs`); concurrency goes through
+//!   `ExecContext` and the ranked locks. Every exception is a per-site
+//!   annotation: `// analyze: allow(R3, justification)`.
 //! * **R4** — public API of `core`/`query` returns `Result` with the crate
 //!   error type; `Option`-swallowed errors (`.ok()` inside a
 //!   `-> Option<…>` function) are violations. Escape hatch:
@@ -33,23 +35,11 @@
 //!   Escape hatch: `// analyze: allow(R6, justification)`.
 //! * **R7** — lock-order soundness (see [`crate::locks`]): every wrapper
 //!   acquisition edge — direct or through the call graph — must strictly
-//!   ascend in `lock_ranks!` rank, and raw `RwLock`/`Condvar` stay inside
-//!   the wrapper modules. Escape hatch: `// analyze: allow(R7, why)`.
+//!   ascend in `lock_ranks!` rank. Escape hatch: `// analyze: allow(R7, why)`.
 //! * **R8** — no blocking while locked (see [`crate::locks`]): no file
 //!   I/O, channel receive, timed wait, sleep, accept, or statement
 //!   execution inside the live range of a write-exclusive guard ranked
 //!   `CATALOG` or higher. Escape hatch: `// analyze: allow(R8, why)`.
-//! * **R9** — observable request dispatch: every variant of
-//!   `proto::Request` (the wire protocol) must be handled by the server
-//!   dispatch inside a span carrying a `request_type` attribute, so each
-//!   request kind is attributable in server traces and in the
-//!   `system.slow_queries` / Stats surfaces built on them. Escape hatch:
-//!   `// analyze: allow(R9, justification)` on the variant.
-//! * **R10** — WAL replay coverage: every variant of the durable layer's
-//!   `wal::Record` enum must be exercised by the kill-matrix harness
-//!   (`tests/recovery.rs`), so a new log record type cannot ship without a
-//!   crash-replay test proving it recovers. Escape hatch:
-//!   `// analyze: allow(R10, justification)` on the variant.
 //!
 //! One annotation spelling serves every rule: `// analyze: allow(Rn, why)`
 //! on the flagged line or the line above it; the justification is required.
@@ -79,17 +69,11 @@ pub enum Rule {
     R7,
     /// No blocking while a `CATALOG`-or-higher write guard is live.
     R8,
-    /// Observable request dispatch: every wire `Request` variant handled
-    /// inside a server span carrying a `request_type` attribute.
-    R9,
-    /// WAL replay coverage: every `wal::Record` variant exercised by the
-    /// kill-matrix recovery harness.
-    R10,
 }
 
 impl Rule {
     /// Every rule, in code order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 8] = [
         Rule::R1,
         Rule::R2,
         Rule::R3,
@@ -98,11 +82,9 @@ impl Rule {
         Rule::R6,
         Rule::R7,
         Rule::R8,
-        Rule::R9,
-        Rule::R10,
     ];
 
-    /// The short code used in diagnostics and the baseline file.
+    /// The short code used in diagnostics and the JSON report.
     pub fn code(self) -> &'static str {
         match self {
             Rule::R1 => "R1",
@@ -113,24 +95,6 @@ impl Rule {
             Rule::R6 => "R6",
             Rule::R7 => "R7",
             Rule::R8 => "R8",
-            Rule::R9 => "R9",
-            Rule::R10 => "R10",
-        }
-    }
-
-    /// One-line description.
-    pub fn title(self) -> &'static str {
-        match self {
-            Rule::R1 => "panic-free library code",
-            Rule::R2 => "parallel-kernel contract",
-            Rule::R3 => "concurrency containment",
-            Rule::R4 => "Result-typed public API",
-            Rule::R5 => "observable timing",
-            Rule::R6 => "conformance op-table coverage",
-            Rule::R7 => "lock-order soundness",
-            Rule::R8 => "no blocking while locked",
-            Rule::R9 => "observable request dispatch",
-            Rule::R10 => "WAL replay coverage",
         }
     }
 }
@@ -168,13 +132,18 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// Content of [`PARALLEL_TEST_FILE`], if present.
     pub parallel_test: Option<String>,
-    /// Content of `tests/recovery.rs` (the kill-matrix harness R10
-    /// cross-checks against), if present.
-    pub recovery_test: Option<String>,
 }
 
 /// Crates whose non-test code must be panic-free (R1).
-pub const R1_CRATES: &[&str] = &["core", "storage", "query", "grid", "provenance"];
+pub const R1_CRATES: &[&str] = &[
+    "core",
+    "storage",
+    "query",
+    "grid",
+    "provenance",
+    "insitu",
+    "server",
+];
 
 /// Crates whose public API must be Result-typed (R4).
 pub const R4_CRATES: &[&str] = &["core", "query"];
@@ -199,20 +168,8 @@ pub const OPS_DIR: &str = "crates/core/src/ops";
 /// The differential harness's operator table (R6 coverage target).
 pub const OPTABLE_FILE: &str = "crates/conformance/src/optable.rs";
 
-/// The wire-protocol definition (R9 parses its `Request` enum).
-pub const PROTO_FILE: &str = "crates/server/src/proto.rs";
-
-/// The server dispatch file (R9's coverage target).
-pub const SERVER_FILE: &str = "crates/server/src/server.rs";
-
-/// The write-ahead-log definition (R10 parses its `Record` enum).
-pub const WAL_FILE: &str = "crates/storage/src/wal.rs";
-
 /// The serial≡parallel equivalence properties (R2's coverage target).
 pub const PARALLEL_TEST_FILE: &str = "tests/parallel_equivalence.rs";
-
-/// The kill-matrix recovery harness (R10's coverage target).
-pub const RECOVERY_TEST_FILE: &str = "tests/recovery.rs";
 
 const PANIC_MARKERS: &[(&str, bool, &str)] = &[
     (".unwrap()", false, "`.unwrap()`"),
@@ -254,8 +211,6 @@ pub fn check_all(ws: &Workspace) -> Vec<Diagnostic> {
     diags.extend(check_r6(ws));
     diags.extend(crate::locks::check_r7(ws));
     diags.extend(crate::locks::check_r8(ws));
-    diags.extend(check_r9(ws));
-    diags.extend(check_r10(ws));
     diags.sort_by(|a, b| (a.rule, &a.path, a.line, a.col).cmp(&(b.rule, &b.path, b.line, b.col)));
     diags
 }
@@ -428,7 +383,7 @@ pub fn check_r2(ws: &Workspace) -> Vec<Diagnostic> {
     diags
 }
 
-/// R3: threads and raw mutexes live in the one lock module only;
+/// R3: threads and raw sync primitives live in the one lock module only;
 /// everything else is a per-site annotation.
 pub fn check_r3(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
@@ -436,18 +391,20 @@ pub fn check_r3(ws: &Workspace) -> Vec<Diagnostic> {
         if crate::locks::is_wrapper_file(&file.path) {
             continue;
         }
-        let mut hits: Vec<(usize, &str)> = Vec::new();
+        let mut hits: Vec<(usize, String)> = Vec::new();
         for off in file.find_marker("thread::spawn", false) {
-            hits.push((off, "`thread::spawn`"));
+            hits.push((off, "`thread::spawn`".to_string()));
         }
-        for off in file.find_marker("Mutex", true) {
-            // Word-boundary on both sides, so `MutexGuard` is not re-counted.
-            let end = off + "Mutex".len();
-            let next = file.mask.as_bytes().get(end);
-            if next.is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_') {
-                continue;
+        for prim in ["Mutex", "RwLock", "Condvar"] {
+            for off in file.find_marker(prim, true) {
+                // Word-boundary on both sides, so `MutexGuard` or
+                // `OrderedRwLock` is not counted.
+                let next = file.mask.as_bytes().get(off + prim.len());
+                if next.is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_') {
+                    continue;
+                }
+                hits.push((off, format!("raw `{prim}`")));
             }
-            hits.push((off, "raw `Mutex`"));
         }
         for (off, label) in hits {
             if file.in_test(off) {
@@ -615,236 +572,6 @@ pub fn check_r6(ws: &Workspace) -> Vec<Diagnostic> {
     diags
 }
 
-/// One variant parsed out of the wire `Request` enum: name plus its byte
-/// offset in the proto file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestVariant {
-    /// Variant name, e.g. `Execute`.
-    pub name: String,
-    /// Byte offset of the variant identifier.
-    pub offset: usize,
-}
-
-/// Parses the variant names of `pub enum Request` from the masked text of
-/// the proto file (comments and literal bodies are already blanked, so
-/// only real code survives).
-pub fn parse_request_variants(file: &SourceFile) -> Vec<RequestVariant> {
-    parse_enum_variants(file, "pub enum Request")
-}
-
-/// Parses the variant names of the enum declared by `needle` (e.g.
-/// `pub enum Record`) from the masked text of `file`.
-pub fn parse_enum_variants(file: &SourceFile, needle: &str) -> Vec<RequestVariant> {
-    let Some(start) = file.mask.find(needle) else {
-        return Vec::new();
-    };
-    let Some(open) = file.mask[start..].find('{').map(|i| start + i) else {
-        return Vec::new();
-    };
-    let bytes = file.mask.as_bytes();
-    let mut variants = Vec::new();
-    let mut depth = 0i32;
-    // A variant identifier is the first identifier at enum-body depth after
-    // `{` or `,`; payload braces/parens/brackets and `#[...]` attributes
-    // all push depth so their contents are skipped.
-    let mut expecting = true;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'(' => {
-                depth += 1;
-                expecting = depth == 1;
-            }
-            // `[` at enum-body depth is a `#[…]` attribute: skip its
-            // contents without consuming the variant-start state.
-            b'[' => depth += 1,
-            b'}' | b')' | b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            b',' if depth == 1 => expecting = true,
-            c if depth == 1 && expecting && (c.is_ascii_alphabetic() || c == b'_') => {
-                let from = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                variants.push(RequestVariant {
-                    name: file.mask[from..i].to_string(),
-                    offset: from,
-                });
-                expecting = false;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    variants
-}
-
-/// R9: observable request dispatch. Every `proto::Request` variant must be
-/// handled by the server dispatch, and the dispatch must run inside a span
-/// that records the request kind as a `request_type` attribute — that
-/// attribute is what makes server traces, the slow-query log, and the
-/// Stats surface attributable per request kind.
-pub fn check_r9(ws: &Workspace) -> Vec<Diagnostic> {
-    let proto = ws
-        .files
-        .iter()
-        .find(|f| f.path.as_path() == Path::new(PROTO_FILE));
-    let Some(proto) = proto else {
-        return Vec::new(); // no wire protocol in this workspace
-    };
-    let variants = parse_request_variants(proto);
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            rule: Rule::R9,
-            path: PROTO_FILE.to_string(),
-            line: 1,
-            col: 1,
-            message: "wire protocol file has no parseable `pub enum Request`".to_string(),
-            snippet: String::new(),
-            help: "declare the request messages as `pub enum Request { … }` so the \
-                   analyzer can check dispatch coverage"
-                .to_string(),
-        }];
-    }
-
-    let server = ws
-        .files
-        .iter()
-        .find(|f| f.path.as_path() == Path::new(SERVER_FILE));
-    let Some(server) = server else {
-        return vec![Diagnostic {
-            rule: Rule::R9,
-            path: SERVER_FILE.to_string(),
-            line: 1,
-            col: 1,
-            message: "server dispatch file not found".to_string(),
-            snippet: String::new(),
-            help: "handle every `proto::Request` variant in the server, inside a span \
-                   with a `request_type` attribute"
-                .to_string(),
-        }];
-    };
-
-    let mut diags = Vec::new();
-    // The span attribute lives in a string literal, so search the raw text
-    // (literal bodies are blanked in the mask).
-    if !server.raw.contains("\"request_type\"") {
-        diags.push(Diagnostic {
-            rule: Rule::R9,
-            path: SERVER_FILE.to_string(),
-            line: 1,
-            col: 1,
-            message: "no server-side span carries a `request_type` attribute".to_string(),
-            snippet: String::new(),
-            help: "set `span.set_attr(\"request_type\", …)` on the per-request span so \
-                   every request kind is attributable in traces"
-                .to_string(),
-        });
-    }
-    for v in &variants {
-        // Word-boundary on the right so `Request::Execute` is not counted
-        // as handling `Request::ExecutePrepared`'s prefix (or vice versa).
-        let pat = format!("Request::{}", v.name);
-        let handled = server.find_marker(&pat, false).iter().any(|&off| {
-            let next = server.mask.as_bytes().get(off + pat.len());
-            let boundary = !next.is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_');
-            boundary && !server.in_test(off)
-        });
-        if !handled {
-            diags.extend(marker_diag(
-                proto,
-                Rule::R9,
-                v.offset,
-                format!(
-                    "wire request variant `{}` is never handled by the server dispatch",
-                    v.name
-                ),
-                "match `Request::…` for this variant inside the instrumented dispatch \
-                 (the span with the `request_type` attribute), or annotate \
-                 `// analyze: allow(R9, why)` on the variant",
-            ));
-        }
-    }
-    diags
-}
-
-/// R10: WAL replay coverage. Every variant of the durable layer's
-/// `wal::Record` enum must be named (`Record::<Variant>`) by the
-/// kill-matrix recovery harness, so a new log record type cannot ship
-/// without a crash-replay test proving it is recovered. The harness's
-/// `replay_covers_every_record_variant` test asserts at runtime that the
-/// seeded workload actually *emits* each variant; this static check closes
-/// the loop at analysis time.
-pub fn check_r10(ws: &Workspace) -> Vec<Diagnostic> {
-    let wal = ws
-        .files
-        .iter()
-        .find(|f| f.path.as_path() == Path::new(WAL_FILE));
-    let Some(wal) = wal else {
-        return Vec::new(); // no durable layer in this workspace
-    };
-    let variants = parse_enum_variants(wal, "pub enum Record");
-    if variants.is_empty() {
-        return vec![Diagnostic {
-            rule: Rule::R10,
-            path: WAL_FILE.to_string(),
-            line: 1,
-            col: 1,
-            message: "WAL file has no parseable `pub enum Record`".to_string(),
-            snippet: String::new(),
-            help: "declare the log records as `pub enum Record { … }` so the analyzer \
-                   can check kill-matrix coverage"
-                .to_string(),
-        }];
-    }
-
-    let Some(recovery) = &ws.recovery_test else {
-        return vec![Diagnostic {
-            rule: Rule::R10,
-            path: RECOVERY_TEST_FILE.to_string(),
-            line: 1,
-            col: 1,
-            message: "kill-matrix recovery harness not found".to_string(),
-            snippet: String::new(),
-            help: "add `tests/recovery.rs` exercising every `wal::Record` variant \
-                   through crash-and-reopen"
-                .to_string(),
-        }];
-    };
-
-    let mut diags = Vec::new();
-    for v in &variants {
-        // Word-boundary on the right so `Record::Put` would not count as
-        // covering `Record::PutArray` (or vice versa).
-        let pat = format!("Record::{}", v.name);
-        let covered = recovery.match_indices(&pat).any(|(off, _)| {
-            let next = recovery.as_bytes().get(off + pat.len());
-            !next.is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_')
-        });
-        if !covered {
-            diags.extend(marker_diag(
-                wal,
-                Rule::R10,
-                v.offset,
-                format!(
-                    "WAL record variant `{}` is not covered by the kill-matrix \
-                     recovery harness ({RECOVERY_TEST_FILE})",
-                    v.name
-                ),
-                "extend the seeded workload (and `replay_covers_every_record_variant`) \
-                 so a crash before and after this record is replayed, or annotate \
-                 `// analyze: allow(R10, why)` on the variant",
-            ));
-        }
-    }
-    diags
-}
-
 /// If `ret` is a `Result` with an explicit error type that is not the crate
 /// error, returns that type.
 fn foreign_error_type(ret: &str) -> Option<String> {
@@ -894,7 +621,6 @@ mod tests {
                 .map(|(p, s)| SourceFile::new(PathBuf::from(p), s.to_string()))
                 .collect(),
             parallel_test: parallel_test.map(String::from),
-            recovery_test: None,
         }
     }
 
@@ -970,6 +696,28 @@ mod tests {
         let d = check_r3(&ws(vec![("crates/storage/src/a.rs", src)], None));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("without a justification"), "{d:?}");
+    }
+
+    #[test]
+    fn r3_flags_raw_rwlock_outside_the_one_lock_module() {
+        let src = "use std::sync::RwLock;\nstruct S { c: Condvar }\n";
+        let d = check_r3(&ws(
+            vec![
+                ("crates/core/src/x.rs", src),
+                ("crates/core/src/sync.rs", src),
+                ("crates/obs/src/sync.rs", src),
+            ],
+            None,
+        ));
+        assert_eq!(d.len(), 4, "{d:?}");
+        // A stray second `sync.rs` is flagged like any other file.
+        assert_eq!(
+            d.iter()
+                .filter(|x| x.path.ends_with("core/src/sync.rs"))
+                .count(),
+            2
+        );
+        assert!(d.iter().all(|x| !x.path.contains("obs")), "{d:?}");
     }
 
     #[test]
@@ -1168,146 +916,5 @@ pub fn filter_with(a: &Array, ctx: &ExecContext) -> Result<Array> {
             parse_optable_kernels(&f),
             vec!["filter_with", "regrid_with"]
         );
-    }
-
-    const PROTO: &str = "\
-pub enum Request {
-    /// Opens a session.
-    Hello { token: String, version: u16 },
-    Execute { text: String, statement_id: u64 },
-    ExecutePrepared { key: String, statement_id: u64 },
-    Ping,
-    Close,
-}
-";
-
-    #[test]
-    fn request_variant_parse_skips_payloads_and_comments() {
-        let f = SourceFile::new(PathBuf::from(PROTO_FILE), PROTO.to_string());
-        let names: Vec<String> = parse_request_variants(&f)
-            .into_iter()
-            .map(|v| v.name)
-            .collect();
-        assert_eq!(
-            names,
-            vec!["Hello", "Execute", "ExecutePrepared", "Ping", "Close"]
-        );
-    }
-
-    #[test]
-    fn r9_accepts_full_dispatch_and_flags_missing_variant() {
-        let full = "fn dispatch(req: &Request) {\n\
-                    span.set_attr(\"request_type\", name(req));\n\
-                    match req {\n\
-                    Request::Hello { .. } => {}\n\
-                    Request::Execute { .. } => {}\n\
-                    Request::ExecutePrepared { .. } => {}\n\
-                    Request::Ping => {}\n\
-                    Request::Close => {}\n\
-                    }\n}\n";
-        let d = check_r9(&ws(vec![(PROTO_FILE, PROTO), (SERVER_FILE, full)], None));
-        assert!(d.is_empty(), "{d:?}");
-
-        // Dropping the Close arm leaves the variant unhandled. The
-        // ExecutePrepared arm alone must not satisfy Execute's prefix.
-        let partial = "fn dispatch(req: &Request) {\n\
-                       span.set_attr(\"request_type\", name(req));\n\
-                       match req {\n\
-                       Request::Hello { .. } => {}\n\
-                       Request::ExecutePrepared { .. } => {}\n\
-                       Request::Ping => {}\n\
-                       }\n}\n";
-        let d = check_r9(&ws(vec![(PROTO_FILE, PROTO), (SERVER_FILE, partial)], None));
-        let msgs: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
-        assert_eq!(d.len(), 2, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`Execute`")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`Close`")), "{msgs:?}");
-    }
-
-    #[test]
-    fn r9_requires_the_request_type_span_attr() {
-        let bare = "fn dispatch(req: &Request) { match req {\n\
-                    Request::Hello { .. } => {}\n\
-                    Request::Execute { .. } => {}\n\
-                    Request::ExecutePrepared { .. } => {}\n\
-                    Request::Ping => {}\n\
-                    Request::Close => {}\n\
-                    } }\n";
-        let d = check_r9(&ws(vec![(PROTO_FILE, PROTO), (SERVER_FILE, bare)], None));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("request_type"), "{d:?}");
-    }
-
-    #[test]
-    fn r9_is_vacuous_without_a_server_crate_and_allows_with_justification() {
-        assert!(check_r9(&ws(vec![("crates/core/src/a.rs", "")], None)).is_empty());
-
-        let proto = "pub enum Request {\n\
-                     Hello,\n\
-                     Debug, // analyze: allow(R9, compiled out of release servers)\n\
-                     }\n";
-        let server = "fn dispatch(req: &Request) {\n\
-                      span.set_attr(\"request_type\", name(req));\n\
-                      match req { Request::Hello => {} }\n}\n";
-        let d = check_r9(&ws(vec![(PROTO_FILE, proto), (SERVER_FILE, server)], None));
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    const WAL: &str = "\
-pub enum Record {
-    /// Start of a group.
-    Begin { op: u64 },
-    Commit { op: u64 },
-    BucketWrite { block: u64, bytes: Vec<u8> },
-    BucketFree { block: u64 },
-}
-";
-
-    fn ws_with_recovery(files: Vec<(&str, &str)>, recovery_test: Option<&str>) -> Workspace {
-        let mut w = ws(files, None);
-        w.recovery_test = recovery_test.map(String::from);
-        w
-    }
-
-    #[test]
-    fn r10_accepts_full_coverage_and_flags_missing_variant() {
-        let full = "match rec {\n\
-                    WalRecord::Begin { .. } => (), // Record::Begin\n\
-                    x if is(x, \"Record::Commit\") => (),\n\
-                    _ => { touch(\"Record::BucketWrite\", \"Record::BucketFree\"); }\n\
-                    }\n";
-        let d = check_r10(&ws_with_recovery(vec![(WAL_FILE, WAL)], Some(full)));
-        assert!(d.is_empty(), "{d:?}");
-
-        // `Record::BucketWrite` alone must not satisfy `Record::BucketFree`
-        // (nor vice versa: right word-boundary matching).
-        let partial = "Record::Begin Record::Commit Record::BucketWrites\n";
-        let d = check_r10(&ws_with_recovery(vec![(WAL_FILE, WAL)], Some(partial)));
-        let msgs: Vec<&str> = d.iter().map(|x| x.message.as_str()).collect();
-        assert_eq!(d.len(), 2, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`BucketWrite`")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`BucketFree`")), "{msgs:?}");
-    }
-
-    #[test]
-    fn r10_flags_a_missing_harness() {
-        let d = check_r10(&ws_with_recovery(vec![(WAL_FILE, WAL)], None));
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(d[0].message.contains("harness not found"), "{d:?}");
-    }
-
-    #[test]
-    fn r10_is_vacuous_without_a_wal_and_allows_with_justification() {
-        assert!(check_r10(&ws_with_recovery(vec![("crates/core/src/a.rs", "")], None)).is_empty());
-
-        let wal = "pub enum Record {\n\
-                   Begin { op: u64 },\n\
-                   Debug, // analyze: allow(R10, never written to disk)\n\
-                   }\n";
-        let d = check_r10(&ws_with_recovery(
-            vec![(WAL_FILE, wal)],
-            Some("Record::Begin"),
-        ));
-        assert!(d.is_empty(), "{d:?}");
     }
 }

@@ -43,7 +43,7 @@ pub struct FnSpan {
 /// A parsed source file: raw text, masked text, and derived structure.
 #[derive(Debug)]
 pub struct SourceFile {
-    /// Workspace-relative path (used in diagnostics and the baseline).
+    /// Workspace-relative path (used in diagnostics).
     pub path: PathBuf,
     /// The original source text.
     pub raw: String,

@@ -250,19 +250,24 @@ impl Model {
 // The checker
 // ---------------------------------------------------------------------
 
-/// Runs the fixed history under `plan` and checks every operation against
-/// the fault-free run and the model's reachability verdict, then recovers
-/// all down nodes and checks the cluster heals. Returns a description of
-/// the first violation.
-fn check_plan(plan: &FaultPlan) -> Result<(), String> {
+/// The fixed history's answers on a cluster without faults: the same for
+/// every plan, so a batch computes them once.
+fn fault_free_results() -> Vec<OpResult> {
     let reg = Registry::with_builtins();
-    let ops = history();
-
     let mut clean = build_cluster();
-    let clean_results: Vec<OpResult> = ops
+    history()
         .iter()
         .map(|op| run_op(&mut clean, op, &reg).expect("fault-free run cannot fail"))
-        .collect();
+        .collect()
+}
+
+/// Runs the fixed history under `plan` and checks every operation against
+/// the fault-free answers and the model's reachability verdict, then
+/// recovers all down nodes and checks the cluster heals. Returns a
+/// description of the first violation.
+fn check_plan(plan: &FaultPlan, clean_results: &[OpResult]) -> Result<(), String> {
+    let reg = Registry::with_builtins();
+    let ops = history();
 
     let mut c = build_cluster();
     c.set_fault_plan(plan.clone());
@@ -350,9 +355,10 @@ fn chaos_seeded_run() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
+    let clean = fault_free_results();
     for case in 0..128u64 {
         let plan = FaultPlan::random(seed.wrapping_mul(1000).wrapping_add(case), N_NODES, N_OPS);
-        if let Err(msg) = check_plan(&plan) {
+        if let Err(msg) = check_plan(&plan, &clean) {
             dump_failure(&plan);
             panic!(
                 "chaos invariant violated (CHAOS_SEED={seed}, case {case}): {msg}\nplan: {}",
@@ -393,7 +399,7 @@ fn losing_every_copy_is_unavailable() {
 #[test]
 fn single_crash_fully_survivable() {
     let plan = FaultPlan::new(0).crash(2, 3).restart(5, 3);
-    assert_eq!(check_plan(&plan), Ok(()));
+    assert_eq!(check_plan(&plan, &fault_free_results()), Ok(()));
 }
 
 /// Slow and flaky nodes never change results, only cost.
@@ -404,5 +410,5 @@ fn degraded_nodes_never_change_results() {
         .flaky(2, 2, 2)
         .slow(4, 1, 8)
         .flaky(6, 3, MAX_RETRIES);
-    assert_eq!(check_plan(&plan), Ok(()));
+    assert_eq!(check_plan(&plan, &fault_free_results()), Ok(()));
 }

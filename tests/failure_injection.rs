@@ -6,7 +6,9 @@
 //! range, so a failure names its seed and replays exactly).
 
 use scidb::core::rng::SmallRng;
-use scidb::insitu::{write_h5, write_netcdf, write_sddf, DatasetSpec};
+use scidb::insitu::{
+    write_h5, write_netcdf, write_sddf, DatasetSpec, H5LiteReader, NetcdfReader, SddfReader,
+};
 use scidb::storage::wal::{self, Record};
 use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
 use scidb::{Array, Error, ScalarType, SchemaBuilder, Value};
@@ -163,6 +165,19 @@ fn truncated_insitu_files_error() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A file shorter than any magic number is an `Err` from each reader's own
+/// `open`, not only from `insitu::open`, which reads the magic first.
+#[test]
+fn two_byte_files_error_in_every_reader() {
+    let dir = tmp_dir("short");
+    let path = dir.join("short.bin");
+    std::fs::write(&path, b"NC").unwrap();
+    assert!(NetcdfReader::open(&path).is_err());
+    assert!(H5LiteReader::open(&path).is_err());
+    assert!(SddfReader::open(&path).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -200,7 +200,7 @@ fn columnar_construction_equals_legacy_cell_writes() {
 
         // Forcing the legacy chunk dense is also invisible.
         let mut densified = legacy.clone();
-        densified.densify();
+        densified.densify().unwrap();
         assert_eq!(densified, columnar, "seed {seed}: densify");
     }
 }
