@@ -69,7 +69,7 @@ fn main() {
         other => panic!("expected one result, got {}", other.len()),
     };
 
-    let traces = db.traces().to_vec();
+    let traces = session.traces().to_vec();
     let table = layer_summary("obs smoke: per-layer self time", &traces);
     println!("{report}");
     println!("{table}");
@@ -125,6 +125,7 @@ fn main() {
         report.contains("[storage]") && report.contains("[query]"),
         "explain analyze must cross the query/storage boundary"
     );
+    assert_eq!(traces.len(), 5, "the session keeps one trace per statement");
     assert!(
         !db.slow_queries().is_empty(),
         "zero-threshold slow log must capture statements"

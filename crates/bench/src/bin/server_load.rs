@@ -154,7 +154,7 @@ struct LoadRun {
 fn run_load() -> LoadRun {
     let locks_before = scidb_obs::sync::witness::stats();
     let db = build_engine();
-    let server = Server::start(db.share(), config()).expect("server start");
+    let server = Server::start(db.clone(), config()).expect("server start");
     let addr = server.addr();
     let start = Arc::new(Barrier::new(SESSIONS));
     let wall = Instant::now();
@@ -190,7 +190,6 @@ fn run_load() -> LoadRun {
         .and_then(|mut c| c.stats(scidb_server::StatsFormat::Json))
         .unwrap_or_else(|e| format!("{{\"error\":\"{e}\"}}"));
     let final_cells = db
-        .share()
         .snapshot("bench")
         .expect("bench survives the load")
         .cell_count();

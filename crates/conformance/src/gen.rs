@@ -2,7 +2,7 @@
 //!
 //! One `u64` seed fully determines a [`Case`]: schema (incl. unbounded `*`
 //! dimensions and nested cells), data (nulls, uncertain values), and an
-//! operator pipeline drawn from [`OP_TABLE`](crate::optable::OP_TABLE).
+//! operator pipeline drawn from [`OP_TABLE`].
 //!
 //! # Determinism by construction
 //!

@@ -2,7 +2,7 @@
 //! protocol.
 //!
 //! One loopback [`Server`] (lazily started, shared by every case in the
-//! process) hosts a [`scidb_query::SharedDatabase`]. Each case uploads its
+//! process) hosts a [`scidb_query::Database`]. Each case uploads its
 //! input array under a process-unique name via `PutArray`, translates its
 //! [`OpSpec`] pipeline into the query layer's [`AExpr`] algebra, renders
 //! the tree to canonical AQL, and executes it over TCP. The bytes that
@@ -39,8 +39,7 @@ fn engine() -> Option<&'static RemoteEngine> {
     static ENGINE: OnceLock<Option<RemoteEngine>> = OnceLock::new();
     ENGINE
         .get_or_init(|| {
-            let db = Database::with_threads(2);
-            Server::start(db.share(), ServerConfig::default())
+            Server::start(Database::with_threads(2), ServerConfig::default())
                 .ok()
                 .map(|server| RemoteEngine {
                     server,

@@ -4,7 +4,7 @@
 //! parallelism. An [`ExecContext`] carries a thread budget and the current
 //! kernel span through the executor into the operator kernels; chunk-separable
 //! kernels (Subsample, Filter, Apply, Project, Aggregate, Regrid) fan their
-//! chunk lists out over [`par_map`]-style scoped threads and combine the
+//! chunk lists out over [`par_map`](ExecContext::par_map)-style scoped threads and combine the
 //! per-chunk results deterministically, so serial (`threads = 1`) and
 //! parallel runs produce identical arrays.
 

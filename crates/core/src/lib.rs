@@ -7,7 +7,7 @@
 //! The crate provides:
 //!
 //! * the multi-dimensional, nested **array model** (§2.1): [`schema`],
-//!   [`array`], [`chunk`], with columnar chunked storage;
+//!   [`array`](mod@array), [`chunk`], with columnar chunked storage;
 //! * the **array image** ([`codec`]): the one byte layout of a schema, a
 //!   value and an array, behind the wire protocol, the WAL and SDDF (§2.9);
 //! * **enhanced arrays** — pseudo-coordinate systems via UDFs ([`enhance`]),

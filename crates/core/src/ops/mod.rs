@@ -8,12 +8,12 @@
 //!   Exists?, Reshape, Sjoin, add/remove dimension, Concat, Cross product.
 //! * [`content`] — operators "whose result depends on the data that is
 //!   stored in the input array": Filter, Aggregate, Cjoin, Apply, Project.
-//! * [`regrid`] — the canonical user-extendable science operation (§2.3):
+//! * [`regrid`](mod@regrid) — the canonical user-extendable science operation (§2.3):
 //!   "science users wish to regrid arrays".
 //!
 //! Each operator has one kernel. Where chunks are dense the chunk-parallel
 //! kernels run column-at-a-time (the `batch` module), and
-//! [`sjoin`](structural::sjoin) picks its own path from the two schemas:
+//! [`sjoin`] picks its own path from the two schemas:
 //! co-aligned inputs join chunk by chunk as a column concatenation (the
 //! §2.1 array-over-tables advantage), every other join hashes
 //! ([`structural::sjoin_is_aligned`]).

@@ -6,7 +6,7 @@
 //! any modifications to V go into this array. … When the SciDB execution
 //! engine desires a value of a cell in V, it will first look in the delta
 //! array for V for the most recent value along the history dimension. If
-//! there is no value in V, it will then look [in] A. In turn, if A is a
+//! there is no value in V, it will then look \[in\] A. In turn, if A is a
 //! version, it will repeat this process until it reaches a base array. In
 //! general, hanging off any base array is a tree of named versions."
 //!

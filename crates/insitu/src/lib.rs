@@ -3,7 +3,7 @@
 //! In-situ data access (paper §2.9): "SciDB must be able to operate on
 //! 'in situ' data, without requiring a load process."
 //!
-//! * [`format`] — SDDF, the self-describing SciDB-rs data format
+//! * [`format`](mod@format) — SDDF, the self-describing SciDB-rs data format
 //!   (chunk-granular reads via an embedded chunk index).
 //! * [`netcdf_like`] — a NetCDF-classic-like external format and adaptor
 //!   (dimension/variable/attribute header + dense row-major data;

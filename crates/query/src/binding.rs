@@ -212,7 +212,7 @@ mod tests {
             .subsample(Expr::attr("X").ge(Expr::lit(3i64)))
             .aggregate(&[], "sum", "v")
             .into_stmt();
-        let out = db.execute(stmt).unwrap().into_array().unwrap();
+        let out = db.session().execute(stmt).unwrap().into_array().unwrap();
         assert_eq!(out.get_cell(&[1]), Some(vec![Value::from(70i64)]));
     }
 

@@ -1,5 +1,5 @@
 //! The query executor: statement execution over a shared core, and the
-//! three handles to it.
+//! two handles to it.
 //!
 //! The catalog lives in an internal, interior-synchronized core (`DbCore`):
 //! an immutable handle to it can be shared across threads, and every
@@ -7,18 +7,18 @@
 //! — read statements (`Query`, `exists`) take the read side and run
 //! concurrently through the evaluator (`eval`); DDL/DML, like every other
 //! catalog mutation, is a `CatalogOp` through `DbCore::commit` (`catalog`),
-//! which takes the write side. Three public handles wrap the core:
+//! which takes the write side. Two public handles wrap the core:
 //!
-//! * [`Database`] — the classic owning handle. All historic `&mut self`
-//!   entry points (`run`, `query`, `execute`, …) are thin wrappers over the
-//!   shared core, so single-threaded callers are unaffected.
-//! * [`SharedDatabase`] — a cheaply cloneable (`Arc`) handle for serving
-//!   layers; it opens per-connection [`Session`]s.
-//! * [`Session`] — an owning statement-execution handle with its *own*
+//! * [`Database`] — a cheaply cloneable (`Arc`) catalog handle:
+//!   construction, catalog access, the shared slow-query log, and the
+//!   [`Session`]s that execute. Its `run`/`query` are one-line calls over a
+//!   fresh session; it retains no trace.
+//! * [`Session`] — the statement-execution handle with its *own*
 //!   [`ExecContext`] and trace/metric accumulation, so concurrent sessions
 //!   never share per-statement state (the context's current-span slot in
 //!   particular must not be shared between concurrently executing
-//!   statements).
+//!   statements). Prepared statements and the result cache are used
+//!   through it.
 //!
 //! Statement texts prepare into [`Prepared`] handles exposing the §2.4
 //! canonical parse-tree cache key (`Stmt`'s `Display` rendering); the core
@@ -29,7 +29,7 @@
 //! `statement` span, one child span per plan node, and the storage layer
 //! nests `read_region` spans beneath the `scan` that triggered them, so
 //! `explain analyze <stmt>` renders the full cross-layer tree.
-//! [`Database::metrics`] is a thin view derived from those traces
+//! [`Session::metrics`] is a thin view derived from those traces
 //! (see [`QueryMetrics::from_traces`]); statements slower than the
 //! configured threshold are retained in a [`SlowLog`] ring shared by all
 //! handles to one database, retrievable via [`Database::slow_queries`].
@@ -43,7 +43,6 @@ use crate::ast::{AExpr, Stmt};
 use crate::parser;
 use crate::plan;
 use scidb_core::array::Array;
-use scidb_core::enhance::WallClock;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::{ExecContext, QueryMetrics};
 use scidb_core::registry::Registry;
@@ -194,21 +193,15 @@ impl std::ops::DerefMut for RegistryRefMut<'_> {
     }
 }
 
-/// Shared read access to the slow-query log.
-pub type SlowLogRef<'a> = OrderedRwLockReadGuard<'a, SlowLog>;
-/// Exclusive access to the slow-query log.
-pub type SlowLogRefMut<'a> = OrderedRwLockWriteGuard<'a, SlowLog>;
-
 /// One cached query result, valid while the catalog generation matches.
 struct CachedQuery {
     generation: u64,
     array: Array,
 }
 
-/// Live, lock-free execution counters for one registered handle (a
-/// [`Session`] or the owning [`Database`]), surfaced as one row of the
-/// `system.sessions` virtual array. All counters are relaxed atomics:
-/// they are monitoring data, not synchronization.
+/// Live, lock-free execution counters for one open [`Session`], surfaced
+/// as one row of the `system.sessions` virtual array. All counters are
+/// relaxed atomics: they are monitoring data, not synchronization.
 #[derive(Debug)]
 pub struct SessionStats {
     id: u64,
@@ -333,7 +326,9 @@ impl StatementProfile {
 struct DbCore {
     state: OrderedRwLock<CatalogState>,
     slow_log: OrderedRwLock<SlowLog>,
-    /// The configured thread budget (0 = auto) new sessions inherit.
+    /// The thread budget new sessions inherit, resolved once by
+    /// [`DbCore::budget`] so that opening a session asks the system
+    /// nothing.
     threads: AtomicUsize,
     /// Bumped by every catalog write; versions the result cache.
     generation: AtomicU64,
@@ -359,7 +354,7 @@ impl DbCore {
                 ranks::SLOW_LOG,
                 SlowLog::new(DEFAULT_SLOW_QUERY_THRESHOLD, DEFAULT_SLOW_QUERY_CAPACITY),
             ),
-            threads: AtomicUsize::new(threads),
+            threads: AtomicUsize::new(DbCore::budget(threads)),
             generation: AtomicU64::new(0),
             result_cache: OrderedRwLock::new(ranks::RESULT_CACHE, HashMap::new()),
             sessions: OrderedRwLock::new(ranks::SESSION_REGISTRY, BTreeMap::new()),
@@ -367,6 +362,12 @@ impl DbCore {
             writer: OrderedMutex::new(ranks::WAL, Writer { log }),
             durable: None,
         }
+    }
+
+    /// A configured thread budget as a count: `0` (auto) becomes the
+    /// machine's available parallelism.
+    fn budget(threads: usize) -> usize {
+        ExecContext::with_threads(threads).threads()
     }
 
     /// Allocates a session id and registers its stats row.
@@ -544,7 +545,7 @@ impl DbCore {
         Ok(out)
     }
 
-    // ---- catalog helpers shared by Database and SharedDatabase ----------
+    // ---- catalog helpers ------------------------------------------------
 
     fn array_names(&self) -> Vec<String> {
         let state = self.state.read();
@@ -595,11 +596,22 @@ impl Prepared {
     }
 }
 
-/// The catalog + executor: the classic owning handle. It owns one
-/// [`Session`] and executes through it; what it adds is construction,
-/// `&mut` catalog access, and `run`/`query` that start from a clean trace.
+/// The catalog handle: construction, catalog access, and the [`Session`]s
+/// that execute statements. Clones share one core — catalog, registry,
+/// result cache, and slow-query log — and the handle is `Send + Sync`, so
+/// a serving layer hands a clone to each thread. A `Database` retains no
+/// trace: [`run`](Self::run) and [`query`](Self::query) execute through a
+/// fresh [`Session`] that is dropped with its traces; open a session with
+/// [`session`](Self::session) to read traces or metrics, to prepare
+/// statements, or to use the result cache.
+///
+/// Every method that executes a statement or takes the catalog write lock
+/// takes `&mut self`, so the borrow checker rejects one called while the
+/// same handle still holds an [`array`](Self::array) or
+/// [`registry`](Self::registry) guard.
+#[derive(Clone)]
 pub struct Database {
-    session: Session,
+    core: Arc<DbCore>,
 }
 
 impl Default for Database {
@@ -619,7 +631,7 @@ impl Database {
     /// execution, `0` auto-sizes to the machine).
     pub fn with_threads(threads: usize) -> Self {
         Database {
-            session: Session::over(Arc::new(DbCore::new(threads, None))),
+            core: Arc::new(DbCore::new(threads, None)),
         }
     }
 
@@ -637,18 +649,18 @@ impl Database {
     /// [`Database::open`] with an explicit thread budget.
     pub fn open_with_threads(path: impl AsRef<Path>, threads: usize) -> Result<Self> {
         Ok(Database {
-            session: Session::over(Arc::new(DbCore::open(path.as_ref(), threads)?)),
+            core: Arc::new(DbCore::open(path.as_ref(), threads)?),
         })
     }
 
     /// True if this database persists through a WAL ([`Database::open`]).
     pub fn is_durable(&self) -> bool {
-        self.session.core.durable.is_some()
+        self.core.durable.is_some()
     }
 
     /// The directory a durable database persists under.
     pub fn storage_dir(&self) -> Option<&Path> {
-        self.session.core.durable.as_ref().map(|d| d.dir.as_path())
+        self.core.durable.as_ref().map(|d| d.dir.as_path())
     }
 
     /// Runs one super-tile merge pass (factor × the chunk stride) over a
@@ -657,7 +669,7 @@ impl Database {
     /// byte-verified) on recovery.
     pub fn merge_on_disk(&mut self, name: &str, factor: i64) -> Result<MergeStats> {
         let mut stats = MergeStats::default();
-        self.session.core.commit(CatalogOp::Merge {
+        self.core.commit(CatalogOp::Merge {
             name,
             factor,
             stats: &mut stats,
@@ -665,112 +677,84 @@ impl Database {
         Ok(stats)
     }
 
-    /// This handle's live execution counters (its `system.sessions` row).
-    pub fn session_stats(&self) -> Arc<SessionStats> {
-        self.session.session_stats()
+    /// Another handle to the same core (a clone).
+    pub fn share(&self) -> Database {
+        self.clone()
     }
 
-    /// A cheaply cloneable handle to the same catalog, registry, and
-    /// slow-query log — the entry point for serving layers.
-    pub fn share(&self) -> SharedDatabase {
-        SharedDatabase {
-            core: Arc::clone(&self.session.core),
-        }
+    /// Opens a [`Session`] over the same core: its own execution context,
+    /// inheriting the configured thread budget, and its own traces.
+    pub fn session(&self) -> Session {
+        Session::over(Arc::clone(&self.core))
     }
 
-    /// The execution context statements run under.
-    pub fn exec_context(&self) -> &ExecContext {
-        self.session.ctx()
-    }
-
-    /// Replaces the thread budget. Traces and metrics accumulated so far
-    /// are preserved (they describe completed statements and remain
-    /// valid), as is the slow-query log; sessions opened later inherit
-    /// the new budget.
+    /// Replaces the thread budget that sessions opened later inherit;
+    /// open sessions keep theirs.
     pub fn set_threads(&mut self, threads: usize) {
-        self.session.core.threads.store(threads, Ordering::SeqCst);
-        self.session.ctx = ExecContext::with_threads(threads);
+        self.core
+            .threads
+            .store(DbCore::budget(threads), Ordering::SeqCst);
     }
 
-    /// Enables or disables the canonical-key result cache for query
-    /// statements executed through this handle (disabled by default; the
-    /// serving layer turns it on per session).
-    pub fn set_result_cache(&mut self, enabled: bool) {
-        self.session.set_result_cache(enabled);
+    /// Execution sessions currently open on this database.
+    pub fn session_count(&self) -> usize {
+        self.core.sessions.read().len()
     }
 
-    /// Per-operator metrics for the statements executed since the last
-    /// [`run`](Self::run)/[`query`](Self::query) began — a thin view
-    /// derived from the retained [`traces`](Self::traces).
-    pub fn metrics(&self) -> QueryMetrics {
-        self.session.metrics()
-    }
-
-    /// Traces of the statements executed since the last
-    /// [`run`](Self::run)/[`query`](Self::query) began, in execution order.
-    pub fn traces(&self) -> &[TraceData] {
-        self.session.traces()
-    }
-
-    /// The trace of the most recently executed statement, if any.
-    pub fn last_trace(&self) -> Option<&TraceData> {
-        self.session.last_trace()
-    }
-
-    /// The slow-query log (process-lifetime: survives `run`/`query`
-    /// resets, shared with every handle to this database).
-    pub fn slow_log(&self) -> SlowLogRef<'_> {
-        self.session.core.slow_log.read()
-    }
-
-    /// Mutable slow-query log access (reconfigure threshold/capacity).
-    pub fn slow_log_mut(&mut self) -> SlowLogRefMut<'_> {
-        self.session.core.slow_log.write()
-    }
-
-    /// Retained slow-query entries, oldest first.
+    /// Retained slow-query entries, oldest first (the log every handle to
+    /// this database shares).
     pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.session.core.slow_log.read().entries().to_vec()
+        self.core.slow_log.read().entries().to_vec()
     }
 
     /// Statements with wall time at or above `threshold` are retained in
     /// the slow-query log.
-    pub fn set_slow_query_threshold(&mut self, threshold: Duration) {
-        self.session.core.slow_log.write().set_threshold(threshold);
-    }
-
-    /// Opens an owning [`Session`] over the same shared core. The session
-    /// gets its own execution context (inheriting this database's thread
-    /// budget) and accumulates traces across statements instead of
-    /// resetting them per call. This handle's own accumulated
-    /// traces/metrics are reset, as before the serving-layer redesign.
-    pub fn session(&mut self) -> Session {
-        self.session.traces.clear();
-        Session::over(Arc::clone(&self.session.core))
+    pub fn set_slow_query_threshold(&self, threshold: Duration) {
+        self.core.slow_log.write().set_threshold(threshold);
     }
 
     /// The function registry (register UDFs, aggregates, enhancements,
     /// shapes here — §2.3).
     pub fn registry(&self) -> RegistryRef<'_> {
-        RegistryRef(self.session.core.state.read())
+        RegistryRef(self.core.state.read())
     }
 
     /// Mutable registry access.
     pub fn registry_mut(&mut self) -> RegistryRefMut<'_> {
-        self.session.core.touch();
-        RegistryRefMut(self.session.core.state.write())
+        self.core.touch();
+        RegistryRefMut(self.core.state.write())
     }
 
-    /// Looks up a stored array (shared read access; release the guard
-    /// before executing further statements).
+    /// Looks up a stored array under the catalog read lock, held until the
+    /// guard drops. Executing through the same handle needs the guard
+    /// released first:
+    ///
+    /// ```
+    /// let mut db = scidb_query::Database::new();
+    /// db.run("define H (v = int) (X = 1:4); create A as H [4];").unwrap();
+    /// let guard = db.array("A").unwrap();
+    /// drop(guard);
+    /// db.run("insert into A[1] values (1)").unwrap();
+    /// ```
+    ///
+    /// and the borrow checker rejects the statement while it is held:
+    ///
+    /// ```compile_fail,E0502
+    /// let mut db = scidb_query::Database::new();
+    /// db.run("define H (v = int) (X = 1:4); create A as H [4];").unwrap();
+    /// let guard = db.array("A").unwrap();
+    /// db.run("insert into A[1] values (1)").unwrap();
+    /// drop(guard);
+    /// ```
     pub fn array(&self, name: &str) -> Result<ArrayRef<'_>> {
-        self.session.core.array_guard(name)
+        self.core.array_guard(name)
     }
 
-    /// Registers an existing array under a name (bulk-load path used by
-    /// examples and benches).
+    /// Registers an existing array under a name (the bulk-load path).
     pub fn put_array(&mut self, name: &str, array: Array) -> Result<()> {
-        self.share().put_array(name, array)
+        self.core
+            .commit(CatalogOp::PutArray { name, array })
+            .map(drop)
     }
 
     /// Registers an array as a disk-backed instance: its chunks are
@@ -781,81 +765,6 @@ impl Database {
     /// storage spans under the query's trace. All dimensions must be
     /// bounded.
     pub fn put_array_on_disk(&mut self, name: &str, array: &Array) -> Result<()> {
-        self.share().put_array_on_disk(name, array)
-    }
-
-    /// Array names in the catalog (sorted).
-    pub fn array_names(&self) -> Vec<String> {
-        self.session.core.array_names()
-    }
-
-    /// Parses, plans, and executes a script; returns one result per
-    /// statement. Resets [`traces`](Self::traces)/[`metrics`](Self::metrics)
-    /// first.
-    pub fn run(&mut self, text: &str) -> Result<Vec<StmtResult>> {
-        self.session.traces.clear();
-        self.session.run(text)
-    }
-
-    /// Runs a single-statement query expecting an array result. Resets
-    /// [`traces`](Self::traces)/[`metrics`](Self::metrics) first.
-    pub fn query(&mut self, text: &str) -> Result<Array> {
-        self.session.traces.clear();
-        self.session.query(text)
-    }
-
-    /// Executes one parsed statement under a fresh trace.
-    pub fn execute(&mut self, stmt: Stmt) -> Result<StmtResult> {
-        self.session.execute(stmt)
-    }
-
-    /// Parses a single statement into a reusable [`Prepared`] handle
-    /// carrying the canonical cache key.
-    pub fn prepare(&self, text: &str) -> Result<Prepared> {
-        self.session.prepare(text)
-    }
-
-    /// Executes a prepared statement (without resetting traces), skipping
-    /// the parser.
-    pub fn execute_prepared(&mut self, prepared: &Prepared) -> Result<StmtResult> {
-        self.session.execute_prepared(prepared)
-    }
-
-    /// Installs a wall-clock enhancement helper (convenience for §2.5
-    /// examples).
-    pub fn register_clock(&mut self, name: &str, base: i64, step: i64) -> Result<()> {
-        self.registry_mut()
-            .register_enhancement(Arc::new(WallClock::new(name, base, step)))
-    }
-}
-
-/// A cheaply cloneable, thread-safe handle to one database core. Clones
-/// share the catalog, registry, result cache, and slow-query log; each
-/// [`session`](Self::session) gets its own execution context and trace
-/// accumulation, so any number of sessions may execute concurrently.
-#[derive(Clone)]
-pub struct SharedDatabase {
-    core: Arc<DbCore>,
-}
-
-impl SharedDatabase {
-    /// Opens an owning [`Session`] with a fresh execution context
-    /// inheriting the database's configured thread budget.
-    pub fn session(&self) -> Session {
-        Session::over(Arc::clone(&self.core))
-    }
-
-    /// Registers an existing array under a name (the serving layer's
-    /// bulk-load path).
-    pub fn put_array(&self, name: &str, array: Array) -> Result<()> {
-        self.core
-            .commit(CatalogOp::PutArray { name, array })
-            .map(drop)
-    }
-
-    /// Registers an array as a disk-backed instance (see
-    /// [`Database::put_array_on_disk`]).
-    pub fn put_array_on_disk(&self, name: &str, array: &Array) -> Result<()> {
         self.core
             .commit(CatalogOp::PutArrayOnDisk { name, array })
             .map(drop)
@@ -877,26 +786,23 @@ impl SharedDatabase {
             .ok_or_else(|| Error::Unsupported(format!("snapshot of disk-backed array '{name}'")))
     }
 
-    /// Retained slow-query entries, oldest first (shared log).
-    pub fn slow_queries(&self) -> Vec<SlowEntry> {
-        self.core.slow_log.read().entries().to_vec()
+    /// Parses, plans, and executes a script through a fresh [`Session`];
+    /// returns one result per statement.
+    pub fn run(&mut self, text: &str) -> Result<Vec<StmtResult>> {
+        self.session().run(text)
     }
 
-    /// Execution sessions currently registered on the shared core.
-    pub fn session_count(&self) -> usize {
-        self.core.sessions.read().len()
-    }
-
-    /// Statements with wall time at or above `threshold` are retained in
-    /// the shared slow-query log.
-    pub fn set_slow_query_threshold(&self, threshold: Duration) {
-        self.core.slow_log.write().set_threshold(threshold);
+    /// Runs a single-statement query expecting an array result, through a
+    /// fresh [`Session`].
+    pub fn query(&mut self, text: &str) -> Result<Array> {
+        self.session().query(text)
     }
 }
 
-/// An owning statement-execution handle over a shared database core.
-/// Unlike `Database::run`/`query`, a session accumulates traces (and
-/// therefore metrics) across all statements it executes; drain them with
+/// The statement-execution handle over a database core, and the only one
+/// that keeps traces, metrics, prepared statements, and the result-cache
+/// switch. A session accumulates traces (and therefore metrics) across all
+/// statements it executes; drain them with
 /// [`take_metrics`](Self::take_metrics). Each session owns its execution
 /// context, so sessions on one database execute concurrently without
 /// sharing per-statement state.
@@ -1242,17 +1148,13 @@ mod tests {
 
     #[test]
     fn query_metrics_report_per_operator() {
-        let mut db = db_with_h();
-        db.query("aggregate(filter(A, v > 1), {Y}, sum(*))")
-            .unwrap();
-        let m = db.metrics();
+        let mut s = db_with_h().session();
+        s.query("aggregate(filter(A, v > 1), {Y}, sum(*))").unwrap();
+        let m = s.metrics();
         let ops: Vec<&str> = m.ops.iter().map(|o| o.op.as_str()).collect();
         assert_eq!(ops, ["filter", "aggregate"]);
         assert!(m.ops[0].cells_touched == 4);
         assert!(m.chunks_scanned() >= 2);
-        // The next query resets the metrics.
-        db.query("scan(A)").unwrap();
-        assert!(db.metrics().ops.is_empty());
     }
 
     #[test]
@@ -1285,7 +1187,7 @@ mod tests {
 
     #[test]
     fn session_accumulates_metrics_across_statements() {
-        let mut db = db_with_h();
+        let db = db_with_h();
         let mut session = db.session();
         assert!(session.ctx().threads() >= 1);
         session.query("filter(A, v > 1)").unwrap();
@@ -1357,8 +1259,9 @@ mod tests {
 
     #[test]
     fn explain_analyze_renders_cross_layer_span_tree() {
-        let mut db = disk_db();
-        let report = db
+        let db = disk_db();
+        let mut s = db.session();
+        let report = s
             .run("explain analyze aggregate(filter(scan(D), v > 20), {Y}, sum(*))")
             .unwrap()
             .pop()
@@ -1398,7 +1301,7 @@ mod tests {
              └─ read_region [storage] buckets=1 bytes_read={bytes_read} \
              cells_decoded=16 cells_returned=16 parallel=false\n"
         );
-        let got = db.last_trace().unwrap().render_tree(&RenderOptions {
+        let got = s.last_trace().unwrap().render_tree(&RenderOptions {
             times: false,
             events: false,
         });
@@ -1406,7 +1309,7 @@ mod tests {
 
         // Per-layer self-time attribution covers query, core (kernel
         // events), and storage.
-        let layers: Vec<&str> = db
+        let layers: Vec<&str> = s
             .last_trace()
             .unwrap()
             .layer_totals()
@@ -1423,7 +1326,7 @@ mod tests {
         // The join node says which sjoin path ran: co-aligned inputs join
         // by position, crossed dimensions by hash.
         for (on, path) in [("X = X and Y = Y", "aligned"), ("X = Y and Y = X", "hash")] {
-            let report = db
+            let report = s
                 .run(&format!("explain analyze sjoin(D, Tmp, {on})"))
                 .unwrap()
                 .pop()
@@ -1436,8 +1339,8 @@ mod tests {
 
     #[test]
     fn explain_analyze_unwraps_nesting_and_propagates_errors() {
-        let mut db = db_with_h();
-        let r = db
+        let mut s = db_with_h().session();
+        let r = s
             .run("explain analyze explain analyze scan(A)")
             .unwrap()
             .pop()
@@ -1445,8 +1348,8 @@ mod tests {
         assert!(r.as_explain().unwrap().contains("scan [query]"));
         // Errors in the traced statement surface as errors, and the failed
         // trace is still retained with an error attribute.
-        assert!(db.run("explain analyze scan(nope)").is_err());
-        let root = &db.last_trace().unwrap().spans[0];
+        assert!(s.run("explain analyze scan(nope)").is_err());
+        let root = &s.last_trace().unwrap().spans[0];
         assert!(root.attr("error").is_some());
     }
 
@@ -1461,101 +1364,111 @@ mod tests {
         let e = &entries[0];
         assert_eq!(e.label, "filter(scan(A), (v > 1))");
         assert!(e.trace.spans.iter().any(|s| s.name == "filter"));
-        // Raising the threshold stops retention; the log itself survives
-        // run/query resets.
+        // Raising the threshold stops retention; retained entries stay.
         db.set_slow_query_threshold(Duration::from_secs(3600));
         db.query("scan(A)").unwrap();
         assert_eq!(db.slow_queries().len(), 1);
     }
 
     #[test]
-    fn traces_capture_statement_spans_and_reset_per_run() {
-        let mut db = db_with_h();
-        db.run("scan(A); exists(A, 1, 1)").unwrap();
-        assert_eq!(db.traces().len(), 2);
-        let aql: Vec<&str> = db
+    fn traces_capture_statement_spans_in_order() {
+        let mut s = db_with_h().session();
+        s.run("scan(A); exists(A, 1, 1)").unwrap();
+        s.run("scan(A)").unwrap();
+        let aql: Vec<&str> = s
             .traces()
             .iter()
             .filter_map(|t| t.spans[0].attr("aql").and_then(|v| v.as_str()))
             .collect();
-        assert_eq!(aql, ["scan(A)", "exists(A, 1, 1)"]);
-        db.run("scan(A)").unwrap();
-        assert_eq!(db.traces().len(), 1);
+        assert_eq!(aql, ["scan(A)", "exists(A, 1, 1)", "scan(A)"]);
     }
 
     #[test]
-    fn set_threads_preserves_traces_and_slow_log() {
-        // Regression: set_threads used to drop every accumulated trace
-        // (and with them the metrics view) as a side effect of replacing
-        // the execution context.
+    fn set_threads_preserves_slow_log_and_is_inherited_by_later_sessions() {
         let mut db = db_with_h();
         db.set_slow_query_threshold(Duration::ZERO);
         db.query("filter(A, v > 1)").unwrap();
-        assert_eq!(db.traces().len(), 1);
-        db.set_threads(2);
-        assert_eq!(db.traces().len(), 1, "traces must survive set_threads");
-        assert!(!db.metrics().ops.is_empty());
+        db.set_threads(1);
+        let open = db.session();
+        db.set_threads(3);
         assert_eq!(db.slow_queries().len(), 1);
-        // The new budget is live for subsequent statements and inherited
-        // by new sessions.
-        assert!(db.exec_context().threads() >= 2);
-        assert!(db.session().ctx().threads() >= 2);
+        // Sessions opened later, through any clone, inherit the new
+        // budget; open ones keep theirs.
+        assert_eq!(db.session().ctx().threads(), 3);
+        assert_eq!(db.clone().session().ctx().threads(), 3);
+        assert_eq!(open.ctx().threads(), 1);
+    }
+
+    #[test]
+    fn clones_share_one_catalog() {
+        let mut a = db_with_h();
+        let mut b = a.clone();
+        b.put_array("P", a.snapshot("A").unwrap()).unwrap();
+        b.run("create B as H [4, 4]").unwrap();
+        assert_eq!(a.array_names(), vec!["A", "B", "P"]);
+        a.run("drop array B").unwrap();
+        assert_eq!(b.array_names(), vec!["A", "P"]);
+        assert_eq!(b.query("scan(P)").unwrap(), a.query("scan(A)").unwrap());
+    }
+
+    #[test]
+    fn run_and_query_open_no_lasting_session() {
+        let mut db = db_with_h();
+        let _s = db.session();
+        assert_eq!(db.session_count(), 1);
+        db.run("insert into A[1, 1] values (5); scan(A)").unwrap();
+        db.query("scan(A)").unwrap();
+        assert!(db.run("scan(nope)").is_err());
+        assert_eq!(db.session_count(), 1);
     }
 
     #[test]
     fn prepared_statements_expose_canonical_key_and_reexecute() {
-        let mut db = db_with_h();
+        let mut s = db_with_h().session();
         // Differently spelled, structurally identical statements share
         // one canonical key.
-        let p1 = db.prepare("Filter(A, v > 1)").unwrap();
-        let p2 = db.prepare("filter(  A ,   v>1 )").unwrap();
+        let p1 = s.prepare("Filter(A, v > 1)").unwrap();
+        let p2 = s.prepare("filter(  A ,   v>1 )").unwrap();
         assert_eq!(p1.cache_key(), "filter(scan(A), (v > 1))");
         assert_eq!(p1.cache_key(), p2.cache_key());
         assert!(matches!(p1.stmt(), Stmt::Query(_)));
-        let a = db.execute_prepared(&p1).unwrap().into_array().unwrap();
-        let b = db.execute_prepared(&p2).unwrap().into_array().unwrap();
+        let a = s.execute_prepared(&p1).unwrap().into_array().unwrap();
+        let b = s.execute_prepared(&p2).unwrap().into_array().unwrap();
         assert_eq!(a, b);
         // Prepared handles survive catalog changes and re-execute
         // against the current data.
-        db.run("insert into A[1, 1] values (7)").unwrap();
-        let c = db.execute_prepared(&p1).unwrap().into_array().unwrap();
+        s.run("insert into A[1, 1] values (7)").unwrap();
+        let c = s.execute_prepared(&p1).unwrap().into_array().unwrap();
         assert_eq!(c.get_cell(&[1, 1]), Some(vec![Value::from(7i64)]));
     }
 
     #[test]
     fn result_cache_hits_and_invalidates_on_writes() {
-        let mut db = db_with_h();
-        db.set_result_cache(true);
-        let p = db.prepare("filter(A, v > 1)").unwrap();
-        let first = db.execute_prepared(&p).unwrap().into_array().unwrap();
-        assert!(db.last_trace().unwrap().spans[0]
-            .attr("cache_hit")
-            .is_none());
-        let second = db.execute_prepared(&p).unwrap().into_array().unwrap();
+        let mut s = db_with_h().session();
+        s.set_result_cache(true);
+        let p = s.prepare("filter(A, v > 1)").unwrap();
+        let first = s.execute_prepared(&p).unwrap().into_array().unwrap();
+        assert!(s.last_trace().unwrap().spans[0].attr("cache_hit").is_none());
+        let second = s.execute_prepared(&p).unwrap().into_array().unwrap();
         assert_eq!(first, second);
         assert!(
-            db.last_trace().unwrap().spans[0]
-                .attr("cache_hit")
-                .is_some(),
+            s.last_trace().unwrap().spans[0].attr("cache_hit").is_some(),
             "second execution must be served from the result cache"
         );
         // Any catalog write invalidates: the next execution re-evaluates
         // and sees the new data.
-        db.execute(parser::parse_one("insert into A[1, 1] values (9)").unwrap())
+        s.execute(parser::parse_one("insert into A[1, 1] values (9)").unwrap())
             .unwrap();
-        let third = db.execute_prepared(&p).unwrap().into_array().unwrap();
-        assert!(db.last_trace().unwrap().spans[0]
-            .attr("cache_hit")
-            .is_none());
+        let third = s.execute_prepared(&p).unwrap().into_array().unwrap();
+        assert!(s.last_trace().unwrap().spans[0].attr("cache_hit").is_none());
         assert_eq!(third.get_cell(&[1, 1]), Some(vec![Value::from(9i64)]));
     }
 
     #[test]
     fn shared_database_sessions_are_isolated() {
         let db = db_with_h();
-        let shared = db.share();
-        let mut s1 = shared.session();
-        let mut s2 = shared.session();
+        let mut s1 = db.session();
+        let mut s2 = db.session();
         s1.query("filter(A, v > 1)").unwrap();
         s2.query("scan(A)").unwrap();
         s2.query("scan(A)").unwrap();
@@ -1568,14 +1481,14 @@ mod tests {
         // Writes through one session are visible to the other.
         s1.run("store filter(A, v > 2) into Big").unwrap();
         assert_eq!(s2.query("scan(Big)").unwrap().cell_count(), 4);
-        assert_eq!(shared.array_names(), vec!["A", "Big"]);
+        assert_eq!(db.array_names(), vec!["A", "Big"]);
     }
 
     #[test]
-    fn shared_database_handles_are_send_and_sync() {
+    fn database_handles_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
         fn assert_send<T: Send>() {}
-        assert_send_sync::<SharedDatabase>();
+        assert_send_sync::<Database>();
         assert_send::<Session>();
     }
 
@@ -1609,13 +1522,12 @@ mod tests {
     #[test]
     fn system_sessions_tracks_live_handles() {
         let db = db_with_h();
-        let shared = db.share();
-        let mut s = shared.session();
+        let mut s = db.session();
         s.query("scan(A)").unwrap();
         s.query("scan(A)").unwrap();
         let rows = s.query("scan(system.sessions)").unwrap();
-        // The Database handle registers a session too.
-        assert_eq!(rows.cell_count(), 2);
+        // A `Database` handle registers no session: only `s` is open.
+        assert_eq!(rows.cell_count(), 1);
         let sid = s.id();
         let mine = rows
             .cells()
@@ -1625,7 +1537,7 @@ mod tests {
         assert_eq!(mine.1[1], Value::from(3i64));
         // Dropping a session removes its row.
         let other_sid = {
-            let mut other = shared.session();
+            let mut other = db.session();
             other.query("scan(A)").unwrap();
             other.id()
         };
@@ -1640,15 +1552,16 @@ mod tests {
 
     #[test]
     fn system_slow_queries_carries_session_and_fingerprint() {
-        let mut db = db_with_h();
+        let db = db_with_h();
         db.set_slow_query_threshold(Duration::ZERO);
-        db.query("filter(A, v > 1)").unwrap();
-        let rows = db.query("scan(system.slow_queries)").unwrap();
+        let mut s = db.session();
+        s.query("filter(A, v > 1)").unwrap();
+        let rows = s.query("scan(system.slow_queries)").unwrap();
         let (_, rec) = rows
             .cells()
             .find(|(_, rec)| rec[2] == Value::from("filter(scan(A), (v > 1))".to_string()))
             .expect("slow entry row");
-        assert_eq!(rec[0], Value::from(db.session_stats().id() as i64));
+        assert_eq!(rec[0], Value::from(s.id() as i64));
         assert_eq!(
             rec[1],
             Value::from(scidb_obs::fingerprint("filter(scan(A), (v > 1))"))
@@ -1657,14 +1570,14 @@ mod tests {
 
     #[test]
     fn system_locks_and_result_cache_render() {
-        let mut db = db_with_h();
-        db.set_result_cache(true);
-        db.query("scan(A)").unwrap();
-        db.query("scan(A)").unwrap();
-        let locks = db.query("scan(system.locks)").unwrap();
+        let mut s = db_with_h().session();
+        s.set_result_cache(true);
+        s.query("scan(A)").unwrap();
+        s.query("scan(A)").unwrap();
+        let locks = s.query("scan(system.locks)").unwrap();
         // One row per registered rank plus the `total` witness row.
         assert_eq!(locks.cell_count(), scidb_obs::sync::ranks::ALL.len() + 1);
-        let cache = db.query("scan(system.result_cache)").unwrap();
+        let cache = s.query("scan(system.result_cache)").unwrap();
         assert_eq!(cache.cell_count(), 1);
         let (_, rec) = cache.cells().next().unwrap();
         assert!(
@@ -1688,13 +1601,12 @@ mod tests {
         assert!(matches!(err, Error::NotFound(_)), "{err:?}");
         // system.* scans bypass the result cache even when it is enabled:
         // re-scanning metrics never reports a cache hit.
-        db.set_result_cache(true);
-        db.query("scan(system.metrics)").unwrap();
-        db.query("scan(system.metrics)").unwrap();
+        let mut s = db.session();
+        s.set_result_cache(true);
+        s.query("scan(system.metrics)").unwrap();
+        s.query("scan(system.metrics)").unwrap();
         assert!(
-            db.last_trace().unwrap().spans[0]
-                .attr("cache_hit")
-                .is_none(),
+            s.last_trace().unwrap().spans[0].attr("cache_hit").is_none(),
             "system scans must not be served from the result cache"
         );
     }

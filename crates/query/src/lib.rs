@@ -7,7 +7,8 @@
 //!   to; `Display` renders canonical AQL.
 //! * [`plan`] — name resolution, the §2.2.1 dimension-predicate legality
 //!   rule, and structural-first rewrites (Subsample pushdown/merging).
-//! * [`exec`] — the [`exec::Database`] catalog and executor.
+//! * [`exec`] — the executor and its two handles: the [`exec::Database`]
+//!   catalog and the [`exec::Session`] that executes statements.
 //! * [`binding`] — the fluent Rust binding ([`binding::Q`]), demonstrating
 //!   the paper's language-embedding approach (vs. ODBC/JDBC
 //!   data-sublanguages).
@@ -25,7 +26,6 @@ pub use ast::{AExpr, AggArg, DimSpec, Literal, Stmt};
 pub use binding::{scan, Q};
 pub use exec::{
     is_system_array, ArrayRef, Database, Prepared, RegistryRef, RegistryRefMut, Session,
-    SessionStats, SharedDatabase, SlowLogRef, SlowLogRefMut, StatementProfile, StmtResult,
-    StoredArray, SYSTEM_PREFIX,
+    SessionStats, StatementProfile, StmtResult, StoredArray, SYSTEM_PREFIX,
 };
 pub use parser::{parse, parse_one};

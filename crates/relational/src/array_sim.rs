@@ -21,13 +21,17 @@ use scidb_core::error::{Error, Result};
 use scidb_core::geometry::HyperRect;
 use scidb_core::registry::Registry;
 use scidb_core::value::{ScalarType, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An array stored as a table of `(dim…, attr…)` rows.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ArrayTable {
     table: Table,
     n_dims: usize,
     dim_names: Vec<String>,
+    /// Rows read by this table's query plans so far (see
+    /// [`rows_touched`](Self::rows_touched)); a statistic, so relaxed.
+    rows_touched: AtomicU64,
 }
 
 impl ArrayTable {
@@ -64,7 +68,19 @@ impl ArrayTable {
             table,
             n_dims: schema.rank(),
             dim_names,
+            rows_touched: AtomicU64::new(0),
         })
+    }
+
+    /// Rows the query plans of this table have read so far — index hits,
+    /// scanned rows, and the rows of intermediate tables they build and
+    /// read again — the relational side's work count in E1.
+    pub fn rows_touched(&self) -> u64 {
+        self.rows_touched.load(Ordering::Relaxed)
+    }
+
+    fn touch(&self, rows: usize) {
+        self.rows_touched.fetch_add(rows as u64, Ordering::Relaxed);
     }
 
     /// The underlying table.
@@ -86,6 +102,7 @@ impl ArrayTable {
     pub fn get_cell(&self, coords: &[i64]) -> Result<Option<Vec<Value>>> {
         let dim_refs: Vec<&str> = self.dim_names.iter().map(String::as_str).collect();
         let hits = self.table.lookup(&dim_refs, coords)?;
+        self.touch(hits.len());
         Ok(hits.first().map(|row| row[self.n_dims..].to_vec()))
     }
 
@@ -106,13 +123,11 @@ impl ArrayTable {
             let mut highs = vec![i64::MAX; self.n_dims];
             lows[0] = at;
             highs[0] = at;
-            return Ok(self
-                .table
-                .range(&dim_refs, &lows, &highs)?
-                .into_iter()
-                .map(|r| r.as_slice())
-                .collect());
+            let rows = self.table.range(&dim_refs, &lows, &highs)?;
+            self.touch(rows.len());
+            return Ok(rows.into_iter().map(|r| r.as_slice()).collect());
         }
+        self.touch(self.table.len());
         Ok(exec::select(&self.table, |row| row[d].as_i64() == Some(at))
             .into_iter()
             .map(|r| r.as_slice())
@@ -131,6 +146,7 @@ impl ArrayTable {
         lows[0] = region.low[0];
         highs[0] = region.high[0];
         let candidates = self.table.range(&dim_refs, &lows, &highs)?;
+        self.touch(candidates.len());
         Ok(candidates
             .into_iter()
             .filter(|row| {
@@ -182,6 +198,7 @@ impl ArrayTable {
         }
         let group_refs: Vec<String> = (0..self.n_dims).map(|d| format!("block_{d}")).collect();
         let group_refs: Vec<&str> = group_refs.iter().map(String::as_str).collect();
+        self.touch(self.table.len() + blocks.len());
         exec::group_aggregate(&blocks, &group_refs, agg, attr, registry)
     }
 
@@ -197,12 +214,14 @@ impl ArrayTable {
             .zip(&other.dim_names)
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
+        self.touch(self.table.len() + other.table.len());
         exec::hash_join(&self.table, &other.table, &pairs)
     }
 
     /// Filter on an attribute predicate (full scan — no index helps).
     pub fn filter(&self, attr: &str, pred: impl Fn(f64) -> bool) -> Result<usize> {
         let col = self.table.column_index(attr)?;
+        self.touch(self.table.len());
         Ok(exec::select(&self.table, |row| row[col].as_f64().is_some_and(&pred)).len())
     }
 
@@ -289,6 +308,33 @@ mod tests {
         let joined = ta.sjoin_all_dims(&tb).unwrap();
         let native = ops::sjoin(&a, &b, &[("i", "i"), ("j", "j")]).unwrap();
         assert_eq!(joined.len(), native.cell_count());
+    }
+
+    #[test]
+    fn rows_touched_counts_what_each_plan_reads() {
+        let t = ArrayTable::from_array(&sample(8)).unwrap();
+        let r = Registry::with_builtins();
+        let mut seen = 0;
+        let mut delta = |t: &ArrayTable| {
+            let d = t.rows_touched() - seen;
+            seen = t.rows_touched();
+            d
+        };
+        t.get_cell(&[3, 4]).unwrap();
+        assert_eq!(delta(&t), 1, "point lookup: the index hit");
+        t.slice("i", 3).unwrap();
+        assert_eq!(delta(&t), 8, "leading slice: the index range");
+        t.slice("j", 3).unwrap();
+        assert_eq!(delta(&t), 64, "trailing slice: a full scan");
+        t.slab(&HyperRect::new(vec![3, 5], vec![6, 8]).unwrap())
+            .unwrap();
+        assert_eq!(delta(&t), 32, "slab: the leading-dimension strip");
+        t.regrid(&[2, 2], "avg", "v", &r).unwrap();
+        assert_eq!(delta(&t), 128, "regrid: the table, then its block rows");
+        t.sjoin_all_dims(&t).unwrap();
+        assert_eq!(delta(&t), 128, "join: build and probe sides");
+        t.filter("v", |v| v > 400.0).unwrap();
+        assert_eq!(delta(&t), 64, "filter: a full scan");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use scidb_core::error::{Error, Result};
 /// Decides whether a connection's handshake credential is acceptable.
 pub trait AuthHook: Send + Sync {
     /// Returns `Ok(())` to admit the connection, or an
-    /// [`Error::Auth`](scidb_core::Error::Auth) to reject it.
+    /// [`Error::Auth`] to reject it.
     fn authenticate(&self, token: &str) -> Result<()>;
 }
 

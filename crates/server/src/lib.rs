@@ -1,7 +1,7 @@
 //! # scidb-server
 //!
-//! The multi-client serving layer over the concurrency-safe
-//! [`SharedDatabase`](scidb_query::SharedDatabase) API:
+//! The multi-client serving layer over a cloneable, concurrency-safe
+//! [`Database`](scidb_query::Database) handle:
 //!
 //! * [`wire`] — the length-prefixed frame format and primitive codec.
 //! * [`proto`] — request/response messages and the bit-exact array codec.

@@ -25,7 +25,7 @@ use crate::wire::{self, Frame};
 use scidb_core::error::{Error, Result};
 use scidb_obs::sync::witness;
 use scidb_obs::{Trace, LAYER_SERVER};
-use scidb_query::{Prepared, Session, SharedDatabase, StatementProfile, StmtResult};
+use scidb_query::{Database, Prepared, Session, StatementProfile, StmtResult};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -68,7 +68,7 @@ impl Default for ServerConfig {
 }
 
 struct Shared {
-    db: SharedDatabase,
+    db: Database,
     auth: Arc<dyn AuthHook>,
     admission: Admission,
     session_inflight_limit: usize,
@@ -85,7 +85,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `config.addr` and starts serving `db`.
-    pub fn start(db: SharedDatabase, config: ServerConfig) -> Result<Server> {
+    pub fn start(db: Database, config: ServerConfig) -> Result<Server> {
         if let Some(t) = config.slow_query_threshold {
             db.set_slow_query_threshold(t);
         }
@@ -487,7 +487,9 @@ fn serve_request(
             Ok(stmt_response(session.execute_prepared(&p)?))
         }
         Request::PutArray { name, array } => {
-            shared.db.put_array(&name, *array)?;
+            // `put_array` takes `&mut self`; the shared handle holds no
+            // catalog guard, so a clone of it may take the write lock.
+            shared.db.clone().put_array(&name, *array)?;
             Ok(Response::Done {
                 msg: format!("stored array {name}"),
             })
@@ -519,7 +521,6 @@ fn serve_request(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scidb_query::Database;
 
     /// A connection that stays open must not keep one trace per statement
     /// it ever ran: each request's trace goes into its trailer and is gone.
@@ -529,7 +530,7 @@ mod tests {
         db.run("define H (v = int) (X = 1:4); create A as H [4];")
             .unwrap();
         let shared = Shared {
-            db: db.share(),
+            db: db.clone(),
             auth: Arc::new(AllowAll),
             admission: Admission::new(AdmissionConfig::default()),
             session_inflight_limit: 4,

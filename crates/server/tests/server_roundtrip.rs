@@ -22,7 +22,7 @@ fn serve(config: ServerConfig) -> (Server, Database) {
          insert into A[3, 3] values (9);",
     )
     .unwrap();
-    let server = Server::start(db.share(), config).unwrap();
+    let server = Server::start(db.clone(), config).unwrap();
     (server, db)
 }
 
@@ -354,7 +354,7 @@ fn remote_explain_analyze_matches_local_span_tree() {
         result_cache: false,
         ..ServerConfig::default()
     };
-    let server = Server::start(db.share(), config).unwrap();
+    let server = Server::start(db.clone(), config).unwrap();
     let mut client = Client::connect(server.addr(), "").unwrap();
     for q in ["scan(A)", "filter(A, v > 1)", "aggregate(A, {Y}, sum(v))"] {
         let stmt = format!("explain analyze {q}");
@@ -403,8 +403,7 @@ fn slow_query_log_works_over_the_wire() {
     let (server, db) = serve(config);
     let mut client = Client::connect(server.addr(), "").unwrap();
     client.query("filter(A, v > 1)").unwrap();
-    let shared = db.share();
-    let entries = shared.slow_queries();
+    let entries = db.slow_queries();
     assert!(
         entries
             .iter()

@@ -8,7 +8,7 @@
 //! * [`cooking`] — the §2.10 cooking process: calibration, denoising,
 //!   multi-pass compositing under alternative rules (the §2.11 named-
 //!   version motivation).
-//! * [`detect`] — thresholding + connected components → observations with
+//! * [`detect`](mod@detect) — thresholding + connected components → observations with
 //!   uncertain positions and fluxes (§2.13).
 //! * [`group`] — cross-epoch observation grouping (trajectories).
 //! * [`queries`] — the Q1–Q9 benchmark suite over raw / observation /

@@ -79,7 +79,7 @@ fn main() -> scidb::Result<()> {
         .aggregate(&[], "count", "s1")
         .into_stmt();
     println!("\nRust binding lowers to AQL: {stmt}");
-    let out = db.execute(stmt)?.into_array()?;
+    let out = db.session().execute(stmt)?.into_array()?;
     println!("cells with s1 > 100   = {}", out.get_cell(&[1]).unwrap()[0]);
 
     // ---- store / drop -----------------------------------------------------

@@ -160,8 +160,7 @@ fn demo_server() -> (Server, Vec<std::thread::JoinHandle<()>>) {
         db.run(&format!("insert into stars[{x}, {x}] values ({})", x * x))
             .expect("seed cell");
     }
-    let shared = db.share();
-    let server = Server::start(shared, ServerConfig::default()).expect("start server");
+    let server = Server::start(db, ServerConfig::default()).expect("start server");
     let addr = server.addr();
     let workers = (0..3)
         .map(|w| {

@@ -43,4 +43,4 @@ pub use scidb_core::{
     Array, ArraySchema, Error, ErrorCode, ExecContext, OpMetrics, QueryMetrics, Result, Scalar,
     ScalarType, SchemaBuilder, Uncertain, Value,
 };
-pub use scidb_query::{Database, Prepared, Session, SharedDatabase};
+pub use scidb_query::{Database, Prepared, Session};

@@ -1,13 +1,12 @@
 //! Concurrency tests for the shared-database API: many threads executing
-//! through one `SharedDatabase`, with per-session trace/metric isolation
-//! and writer/reader coherence.
+//! through clones of one `Database`, with per-session trace/metric
+//! isolation and writer/reader coherence.
 
 use scidb::query::StmtResult;
-use scidb::{Database, SharedDatabase, Value};
-use std::sync::Arc;
+use scidb::{Database, Value};
 use std::thread;
 
-fn seeded(threads: usize) -> SharedDatabase {
+fn seeded(threads: usize) -> Database {
     let mut db = Database::with_threads(threads);
     db.run(
         "define H (v = int) (X = 1:8, Y = 1:8);
@@ -20,7 +19,7 @@ fn seeded(threads: usize) -> SharedDatabase {
                 .unwrap();
         }
     }
-    db.share()
+    db
 }
 
 #[test]
@@ -218,9 +217,11 @@ fn result_cache_never_serves_stale_results_under_concurrent_ddl() {
 
 #[test]
 fn shared_handle_is_cheap_to_clone_and_send() {
+    fn assert_clone_send_sync<T: Clone + Send + Sync>(_: &T) {}
     let shared = seeded(1);
-    let arc: Arc<SharedDatabase> = Arc::new(shared.clone());
-    let h = thread::spawn(move || arc.session().query("scan(A)").unwrap().cell_count());
+    assert_clone_send_sync(&shared);
+    let clone = shared.clone();
+    let h = thread::spawn(move || clone.session().query("scan(A)").unwrap().cell_count());
     assert_eq!(h.join().unwrap(), 64);
 }
 

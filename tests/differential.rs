@@ -75,7 +75,7 @@ fn system_metrics_is_monotone_across_reads_in_one_session() {
          insert into M[1] values (7);",
     )
     .unwrap();
-    let server = Server::start(db.share(), ServerConfig::default()).unwrap();
+    let server = Server::start(db.clone(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(server.addr(), "").unwrap();
 
     let name_of = |rec: &[Value]| match &rec[0] {

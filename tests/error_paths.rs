@@ -78,7 +78,7 @@ fn malformed_schema_is_err() {
 #[test]
 fn malformed_query_schema_is_err() {
     use scidb::query::Database;
-    let mut db = Database::new();
+    let db = Database::new();
     let mut sess = db.session();
     // A parse error, not a panic.
     assert!(sess.run("create array A <v:int64> [x=1:0]").is_err());

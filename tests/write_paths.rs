@@ -442,7 +442,6 @@ fn memory_durable_and_reopened_engines_agree_on_the_script() {
 #[test]
 fn two_threads_loading_one_name_in_memory_publish_it_once() {
     let mut db = Database::new();
-    let shared = db.share();
     let array = gen_chunked_array("D", 7);
     let before = system_int(&mut db, "result_cache", "generation");
     let start = Barrier::new(2);
@@ -451,7 +450,7 @@ fn two_threads_loading_one_name_in_memory_publish_it_once() {
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    shared.put_array_on_disk("D", &array)
+                    db.clone().put_array_on_disk("D", &array)
                 })
             })
             .collect();
