@@ -207,7 +207,7 @@ impl Array {
             return None;
         }
         let chunk = self.chunk_for(coords)?;
-        chunk.value_f64(attr, chunk.offset_of(coords))
+        chunk.value_f64(attr, chunk.lane_at(coords)?)
     }
 
     /// Borrows a nested-array attribute without cloning it.
@@ -216,7 +216,7 @@ impl Array {
             return None;
         }
         let chunk = self.chunk_for(coords)?;
-        chunk.nested_at(attr, chunk.offset_of(coords))
+        chunk.nested_at(attr, chunk.lane_at(coords)?)
     }
 
     /// The paper's `Exists? [A, 7, 7]`: true if the cell is present
@@ -371,7 +371,7 @@ impl Array {
         self.chunks.values().flat_map(move |chunk| {
             chunk
                 .iter_present()
-                .map(move |(coords, idx)| (coords, chunk.record_at(idx)))
+                .map(move |(coords, lane)| (coords, chunk.record_at(lane)))
         })
     }
 
@@ -380,7 +380,7 @@ impl Array {
         self.chunks.values().flat_map(move |chunk| {
             chunk
                 .iter_present()
-                .filter_map(move |(coords, idx)| chunk.value_f64(attr, idx).map(|v| (coords, v)))
+                .filter_map(move |(coords, lane)| chunk.value_f64(attr, lane).map(|v| (coords, v)))
         })
     }
 
@@ -393,10 +393,10 @@ impl Array {
             .values()
             .filter(move |c| c.rect().intersects(region))
             .flat_map(move |chunk| {
-                chunk.iter_present().filter_map(move |(coords, idx)| {
+                chunk.iter_present().filter_map(move |(coords, lane)| {
                     region
                         .contains(&coords)
-                        .then(|| (coords, chunk.record_at(idx)))
+                        .then(|| (coords, chunk.record_at(lane)))
                 })
             })
     }

@@ -1,10 +1,11 @@
-//! A compact bit vector used for per-chunk presence ("EMPTY") and per-column
-//! NULL bitmaps.
+//! A compact bit vector used for per-column NULL bitmaps.
 //!
 //! The engine distinguishes *empty* cells (never written, or outside a shape
 //! function's ragged bounds) from *NULL* cells (written, but the paper's
-//! `Filter` operator, §2.2.2, replaces non-qualifying values with NULL).
-//! Both states are tracked with this structure.
+//! `Filter` operator, §2.2.2, replaces non-qualifying values with NULL). A
+//! chunk tracks presence by the sorted offsets of its present cells
+//! ([`crate::chunk`]) and NULLs with one of these bitmaps per column, one
+//! bit per present cell.
 
 /// A growable bit vector backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -72,6 +73,44 @@ impl BitVec {
         }
     }
 
+    /// Inserts bit `value` at `i`, shifting bits `i..` up by one. Panics if
+    /// `i > len`.
+    pub fn insert(&mut self, i: usize, value: bool) {
+        assert!(i <= self.len, "bit index {i} out of range {}", self.len);
+        self.push(false);
+        let (w, b) = (i / 64, i % 64);
+        let word = self.words[w];
+        let low = (1u64 << b) - 1;
+        self.words[w] = (word & low) | ((word & !low) << 1) | (u64::from(value) << b);
+        let mut carry = word >> 63;
+        for word in &mut self.words[w + 1..] {
+            let next = *word >> 63;
+            *word = (*word << 1) | carry;
+            carry = next;
+        }
+    }
+
+    /// Removes bit `i`, shifting bits `i + 1..` down by one. Panics if out
+    /// of range.
+    pub fn remove(&mut self, i: usize) {
+        assert!(i < self.len, "bit index {i} out of range {}", self.len);
+        let (w, b) = (i / 64, i % 64);
+        let n = self.words.len();
+        for k in w..n {
+            let carry = self.words.get(k + 1).map_or(0, |next| next & 1) << 63;
+            let word = self.words[k];
+            self.words[k] = if k == w {
+                let low = (1u64 << b) - 1;
+                (word & low) | ((word >> 1) & !low) | carry
+            } else {
+                (word >> 1) | carry
+            };
+        }
+        self.len -= 1;
+        self.words.truncate(self.len.div_ceil(64));
+        self.mask_tail();
+    }
+
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -80,11 +119,6 @@ impl BitVec {
     /// True if every bit is set.
     pub fn all(&self) -> bool {
         self.count_ones() == self.len
-    }
-
-    /// True if no bit is set.
-    pub fn none(&self) -> bool {
-        self.count_ones() == 0
     }
 
     /// Iterator over the indices of set bits.
@@ -108,14 +142,6 @@ impl BitVec {
         assert_eq!(self.len, other.len, "bitvec length mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
-        }
-    }
-
-    /// In-place intersection with another bit vector of the same length.
-    pub fn intersect_with(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len, "bitvec length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
         }
     }
 
@@ -164,7 +190,7 @@ mod tests {
     #[test]
     fn filled_false_has_no_bits() {
         let bv = BitVec::filled(70, false);
-        assert!(bv.none());
+        assert_eq!(bv.count_ones(), 0);
         assert!(!bv.get(69));
     }
 
@@ -202,24 +228,48 @@ mod tests {
     }
 
     #[test]
-    fn union_and_intersection() {
+    fn union_sets_bits() {
         let mut a = BitVec::filled(10, false);
         let mut b = BitVec::filled(10, false);
         a.set(1, true);
         a.set(2, true);
         b.set(2, true);
         b.set(3, true);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3]);
-        a.intersect_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![2]);
+        a.union_with(&b);
+        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn get_out_of_range_panics() {
         BitVec::filled(5, false).get(5);
+    }
+
+    #[test]
+    fn insert_and_remove_shift_across_words() {
+        let mut bv = BitVec::new();
+        let mut model: Vec<bool> = Vec::new();
+        for step in 0..400usize {
+            let value = step % 3 == 0 || step % 7 == 0;
+            if step % 5 == 4 && !model.is_empty() {
+                let i = (step * 31) % model.len();
+                bv.remove(i);
+                model.remove(i);
+            } else {
+                let i = (step * 17) % (model.len() + 1);
+                bv.insert(i, value);
+                model.insert(i, value);
+            }
+            assert_eq!(bv.len(), model.len(), "step {step}");
+            assert_eq!(bv.count_ones(), model.iter().filter(|&&b| b).count());
+        }
+        assert!(model.iter().enumerate().all(|(i, &b)| bv.get(i) == b));
+        while !model.is_empty() {
+            bv.remove(0);
+            model.remove(0);
+            assert_eq!(bv.count_ones(), model.iter().filter(|&&b| b).count());
+        }
+        assert_eq!(bv, BitVec::new());
     }
 
     #[test]

@@ -1,44 +1,51 @@
 //! Chunks: the in-memory unit of array storage.
 //!
 //! An array is decomposed into rectangular chunks ("buckets, defined by a
-//! stride in each dimension", §2.8). A chunk's representation is
-//! **adaptive**:
+//! stride in each dimension", §2.8). Every chunk has one representation,
+//! the layout its bucket already stores (`scidb_storage::bucket`):
 //!
-//! * it starts *sparse* — a sorted map from row-major offset to record — so
-//!   that delta layers (history versions §2.5, named-version deltas §2.11)
-//!   holding a handful of cells consume "essentially no space";
-//! * once a quarter of its cells are present it *densifies* into columnar
-//!   storage — one typed vector per attribute with presence/NULL bitmaps —
-//!   which is what makes the array-native engine fast relative to the
-//!   tuple-at-a-time relational simulation (experiment E1).
+//! * **offsets** — the row-major offsets of its present cells inside its
+//!   rectangle, strictly increasing, stored as `u32` behind an `Arc` so that
+//!   a clone, and every kernel that keeps presence (filter, apply, project,
+//!   an aligned sjoin of equal presence), shares them instead of copying;
+//! * **compact columns** — one typed [`Column`] per attribute holding one
+//!   value and one NULL bit per *lane*, a lane being a present cell's
+//!   position in the offsets.
+//!
+//! A delta layer of a handful of cells (history versions §2.5, named-version
+//! deltas §2.11) costs a handful of lanes — "essentially no space" — and a
+//! full chunk costs its values plus 4 bytes of offset per cell, so the
+//! columnar batch kernels run on every chunk, sparse or full. Accessors take
+//! a lane; a write in row-major order appends, and an out-of-order write or
+//! a [`Chunk::clear_cell`] inserts or removes at its binary-searched lane.
 //!
 //! The `uncertain float` column keeps the §2.13 promise that "arrays with the
 //! same error bounds for all values will require negligible extra space": the
 //! sigma store starts empty, records a single constant on first write, and is
-//! upgraded to a per-cell vector only when a different sigma is written.
+//! upgraded to a per-lane vector only when a different sigma is written.
 
 use crate::array::Array;
 use crate::bitvec::BitVec;
 use crate::error::{Error, Result};
-use crate::geometry::HyperRect;
+use crate::geometry::{Coords, HyperRect};
 use crate::schema::AttrType;
 use crate::uncertain::Uncertain;
 use crate::value::{Record, Scalar, ScalarType, Value};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
-/// Sigma storage for an uncertain column: constant-σ (compact) or per-cell.
+/// Sigma storage for an uncertain column: constant-σ (compact) or per-lane.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SigmaStore {
     /// No sigma written yet.
     Empty,
-    /// All cells share one sigma. Upgraded lazily on a divergent write.
+    /// All lanes share one sigma. Upgraded lazily on a divergent write.
     Constant(f64),
-    /// Per-cell sigmas.
+    /// Per-lane sigmas.
     PerCell(Vec<f64>),
 }
 
 impl SigmaStore {
-    /// Sigma of cell `idx`.
+    /// Sigma of lane `idx`.
     pub fn get(&self, idx: usize) -> f64 {
         match self {
             SigmaStore::Empty => 0.0,
@@ -74,33 +81,35 @@ impl SigmaStore {
     }
 }
 
-/// A typed column of attribute values within one dense chunk.
+/// A compact typed column: one value and one NULL bit per lane, in offset
+/// order. A NULL lane's value slot holds a placeholder or a stale value and
+/// is never read as a value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integers.
     Int64 {
-        /// Cell values (defaulted where null/empty).
+        /// Lane values.
         data: Vec<i64>,
         /// NULL bitmap (1 = null).
         nulls: BitVec,
     },
     /// 64-bit floats.
     Float64 {
-        /// Cell values (defaulted where null/empty).
+        /// Lane values.
         data: Vec<f64>,
         /// NULL bitmap (1 = null).
         nulls: BitVec,
     },
     /// Booleans.
     Bool {
-        /// Cell values.
+        /// Lane values.
         data: Vec<bool>,
         /// NULL bitmap.
         nulls: BitVec,
     },
     /// Strings.
     Str {
-        /// Cell values.
+        /// Lane values.
         data: Vec<String>,
         /// NULL bitmap.
         nulls: BitVec,
@@ -116,13 +125,13 @@ pub enum Column {
     },
     /// Nested arrays; `None` is NULL.
     Nested {
-        /// Cell values.
+        /// Lane values.
         data: Vec<Option<Array>>,
     },
 }
 
 impl Column {
-    /// Allocates a column of `len` cells for the given attribute type, all
+    /// Allocates a column of `len` lanes for the given attribute type, all
     /// NULL.
     pub fn new(ty: &AttrType, len: usize) -> Column {
         match ty {
@@ -153,7 +162,7 @@ impl Column {
         }
     }
 
-    /// Number of cells.
+    /// Number of lanes.
     pub fn len(&self) -> usize {
         match self {
             Column::Int64 { data, .. } => data.len(),
@@ -165,12 +174,12 @@ impl Column {
         }
     }
 
-    /// True if the column has no cells.
+    /// True if the column has no lanes.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// True if cell `idx` is NULL.
+    /// True if lane `idx` is NULL.
     pub fn is_null(&self, idx: usize) -> bool {
         match self {
             Column::Int64 { nulls, .. }
@@ -182,7 +191,7 @@ impl Column {
         }
     }
 
-    /// Reads cell `idx` as a [`Value`].
+    /// Reads lane `idx` as a [`Value`].
     pub fn get(&self, idx: usize) -> Value {
         match self {
             Column::Nested { data } => data[idx]
@@ -213,7 +222,7 @@ impl Column {
         }
     }
 
-    /// Writes cell `idx`.
+    /// Writes lane `idx`.
     pub fn set(&mut self, idx: usize, value: &Value) -> Result<()> {
         match value {
             Value::Null => {
@@ -292,6 +301,126 @@ impl Column {
         }
     }
 
+    /// The NULL bitmap of a scalar column; `None` for a nested column,
+    /// whose NULLs are `None` values.
+    pub fn nulls(&self) -> Option<&BitVec> {
+        match self {
+            Column::Int64 { nulls, .. }
+            | Column::Float64 { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. }
+            | Column::Uncertain { nulls, .. } => Some(nulls),
+            Column::Nested { .. } => None,
+        }
+    }
+
+    fn nulls_mut(&mut self) -> Option<&mut BitVec> {
+        match self {
+            Column::Int64 { nulls, .. }
+            | Column::Float64 { nulls, .. }
+            | Column::Bool { nulls, .. }
+            | Column::Str { nulls, .. }
+            | Column::Uncertain { nulls, .. } => Some(nulls),
+            Column::Nested { .. } => None,
+        }
+    }
+
+    /// Opens a NULL lane at `idx`, shifting later lanes up by one.
+    fn insert_null(&mut self, idx: usize) {
+        if let Some(nulls) = self.nulls_mut() {
+            nulls.insert(idx, true);
+        }
+        match self {
+            Column::Int64 { data, .. } => data.insert(idx, 0),
+            Column::Float64 { data, .. } => data.insert(idx, 0.0),
+            Column::Bool { data, .. } => data.insert(idx, false),
+            Column::Str { data, .. } => data.insert(idx, String::new()),
+            Column::Uncertain { means, sigmas, .. } => {
+                means.insert(idx, 0.0);
+                if let SigmaStore::PerCell(v) = sigmas {
+                    v.insert(idx, 0.0);
+                }
+            }
+            Column::Nested { data } => data.insert(idx, None),
+        }
+    }
+
+    /// Removes lane `idx`, shifting later lanes down by one.
+    fn remove(&mut self, idx: usize) {
+        if let Some(nulls) = self.nulls_mut() {
+            nulls.remove(idx);
+        }
+        match self {
+            Column::Int64 { data, .. } => {
+                data.remove(idx);
+            }
+            Column::Float64 { data, .. } => {
+                data.remove(idx);
+            }
+            Column::Bool { data, .. } => {
+                data.remove(idx);
+            }
+            Column::Str { data, .. } => {
+                data.remove(idx);
+            }
+            Column::Uncertain { means, sigmas, .. } => {
+                means.remove(idx);
+                if let SigmaStore::PerCell(v) = sigmas {
+                    v.remove(idx);
+                }
+            }
+            Column::Nested { data } => {
+                data.remove(idx);
+            }
+        }
+    }
+
+    /// The column of lanes `lanes`, in that order.
+    pub(crate) fn gather(&self, lanes: &[usize]) -> Column {
+        let bits = |nulls: &BitVec| {
+            let mut words = vec![0u64; lanes.len().div_ceil(64)];
+            for (i, &l) in lanes.iter().enumerate() {
+                words[i / 64] |= u64::from(nulls.get(l)) << (i % 64);
+            }
+            BitVec::from_words(words, lanes.len())
+        };
+        match self {
+            Column::Int64 { data, nulls } => Column::Int64 {
+                data: lanes.iter().map(|&l| data[l]).collect(),
+                nulls: bits(nulls),
+            },
+            Column::Float64 { data, nulls } => Column::Float64 {
+                data: lanes.iter().map(|&l| data[l]).collect(),
+                nulls: bits(nulls),
+            },
+            Column::Bool { data, nulls } => Column::Bool {
+                data: lanes.iter().map(|&l| data[l]).collect(),
+                nulls: bits(nulls),
+            },
+            Column::Str { data, nulls } => Column::Str {
+                data: lanes.iter().map(|&l| data[l].clone()).collect(),
+                nulls: bits(nulls),
+            },
+            Column::Uncertain {
+                means,
+                sigmas,
+                nulls,
+            } => Column::Uncertain {
+                means: lanes.iter().map(|&l| means[l]).collect(),
+                sigmas: match sigmas {
+                    SigmaStore::PerCell(v) => {
+                        SigmaStore::PerCell(lanes.iter().map(|&l| v[l]).collect())
+                    }
+                    compact => compact.clone(),
+                },
+                nulls: bits(nulls),
+            },
+            Column::Nested { data } => Column::Nested {
+                data: lanes.iter().map(|&l| data[l].clone()).collect(),
+            },
+        }
+    }
+
     /// Marks every set bit of `mask` NULL — one word-level bitmap union
     /// for scalar columns. The batch filter's selection-vector write-back.
     pub fn null_out(&mut self, mask: &BitVec) {
@@ -344,75 +473,92 @@ impl Column {
     }
 }
 
-/// Approximate heap footprint of one sparse-stored value.
-fn value_byte_size(v: &Value) -> usize {
-    match v {
-        Value::Null => 8,
-        Value::Scalar(Scalar::String(s)) => 24 + s.len(),
-        Value::Scalar(Scalar::Uncertain(_)) => 16,
-        Value::Scalar(_) => 16,
-        Value::Array(a) => 8 + a.byte_size(),
-    }
-}
-
-/// Dense fill fraction (1/DENSIFY_DIVISOR of capacity) at which a sparse
-/// chunk converts to columnar storage.
-const DENSIFY_DIVISOR: usize = 4;
-
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Sorted map: row-major offset → record. Sorted keys give row-major
-    /// iteration for free.
-    Sparse(BTreeMap<usize, Record>),
-    /// Columnar storage with a presence bitmap.
-    Dense {
-        present: BitVec,
-        columns: Vec<Column>,
-    },
-}
-
-/// One rectangular chunk of an array (adaptive sparse/dense representation).
+/// One rectangular chunk of an array: the sorted offsets of its present
+/// cells plus one compact column per attribute (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Chunk {
     rect: HyperRect,
     attr_types: Vec<AttrType>,
-    repr: Repr,
+    /// Row-major offsets of the present cells, strictly increasing; lane
+    /// `i` of every column belongs to `offsets[i]`.
+    offsets: Arc<Vec<u32>>,
+    columns: Vec<Column>,
 }
 
 impl PartialEq for Chunk {
-    /// Logical equality: same rectangle and same visible cells, regardless
-    /// of representation.
+    /// Logical equality: same rectangle, same present cells, same records.
+    /// A NULL lane's stale value slot is not compared.
     fn eq(&self, other: &Self) -> bool {
-        if self.rect != other.rect || self.present_count() != other.present_count() {
-            return false;
-        }
-        self.iter_present()
-            .all(|(_, idx)| self.record_at(idx) == other.record_at(idx) && other.present_at(idx))
+        self.rect == other.rect
+            && self.offsets == other.offsets
+            && (0..self.present_count()).all(|lane| self.record_at(lane) == other.record_at(lane))
     }
 }
 
 impl Chunk {
     /// Allocates an all-empty chunk covering `rect` with the given attribute
-    /// types. Starts sparse; densifies automatically as cells are written.
+    /// types.
     pub fn new(rect: HyperRect, attr_types: &[AttrType]) -> Chunk {
         Chunk {
             rect,
             attr_types: attr_types.to_vec(),
-            repr: Repr::Sparse(BTreeMap::new()),
+            offsets: Arc::default(),
+            columns: attr_types.iter().map(|t| Column::new(t, 0)).collect(),
         }
     }
 
-    /// Allocates a chunk directly in dense columnar form (used by bulk
-    /// paths that know they will fill it).
-    pub fn new_dense(rect: HyperRect, attr_types: &[AttrType]) -> Chunk {
-        let len = rect.volume() as usize;
-        Chunk {
+    /// Assembles a chunk from its parts: the strictly increasing row-major
+    /// offsets of the present cells and one compact column per attribute
+    /// with one lane per offset.
+    pub fn from_parts(
+        rect: HyperRect,
+        attr_types: Vec<AttrType>,
+        offsets: Arc<Vec<u32>>,
+        columns: Vec<Column>,
+    ) -> Result<Chunk> {
+        let capacity = rect
+            .checked_volume()
+            .filter(|&cells| cells <= u64::from(u32::MAX))
+            .ok_or_else(|| Error::schema("chunk holds more than u32::MAX cells"))?;
+        if offsets.last().is_some_and(|&o| u64::from(o) >= capacity) {
+            return Err(Error::schema("chunk offset out of range"));
+        }
+        if offsets.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(Error::schema("chunk offsets not strictly increasing"));
+        }
+        if columns.len() != attr_types.len() {
+            return Err(Error::schema("column count mismatch"));
+        }
+        if columns.iter().any(|c| c.len() != offsets.len()) {
+            return Err(Error::schema("column length mismatch"));
+        }
+        Ok(Chunk {
             rect,
-            attr_types: attr_types.to_vec(),
-            repr: Repr::Dense {
-                present: BitVec::filled(len, false),
-                columns: attr_types.iter().map(|t| Column::new(t, len)).collect(),
-            },
+            attr_types,
+            offsets,
+            columns,
+        })
+    }
+
+    /// A chunk with this chunk's rectangle and present cells (sharing its
+    /// offsets) and the given columns, one lane per present cell.
+    pub(crate) fn with_columns(&self, attr_types: Vec<AttrType>, columns: Vec<Column>) -> Chunk {
+        debug_assert!(columns.iter().all(|c| c.len() == self.offsets.len()));
+        Chunk {
+            rect: self.rect.clone(),
+            attr_types,
+            offsets: Arc::clone(&self.offsets),
+            columns,
+        }
+    }
+
+    /// The chunk of lanes `lanes` (strictly increasing) of this chunk.
+    pub(crate) fn gather(&self, lanes: &[usize]) -> Chunk {
+        Chunk {
+            rect: self.rect.clone(),
+            attr_types: self.attr_types.clone(),
+            offsets: Arc::new(lanes.iter().map(|&l| self.offsets[l]).collect()),
+            columns: self.columns.iter().map(|c| c.gather(lanes)).collect(),
         }
     }
 
@@ -431,91 +577,25 @@ impl Chunk {
         self.rect.volume() as usize
     }
 
-    /// Number of present (non-empty) cells.
+    /// Number of present (non-empty) cells, which is the number of lanes.
     pub fn present_count(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(cells) => cells.len(),
-            Repr::Dense { present, .. } => present.count_ones(),
-        }
+        self.offsets.len()
     }
 
     /// True if no cell is present.
     pub fn is_empty(&self) -> bool {
-        self.present_count() == 0
+        self.offsets.is_empty()
     }
 
-    /// True if the chunk has densified to columnar storage.
-    pub fn is_dense(&self) -> bool {
-        matches!(self.repr, Repr::Dense { .. })
+    /// The row-major offsets of the present cells, one per lane, strictly
+    /// increasing.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
     }
 
-    /// Columnar view, available once dense (`None` while sparse). Used by
-    /// vectorized kernels and the sigma-compactness accounting.
-    pub fn columns(&self) -> Option<&[Column]> {
-        match &self.repr {
-            Repr::Dense { columns, .. } => Some(columns),
-            Repr::Sparse(_) => None,
-        }
-    }
-
-    /// The presence bitmap, available once dense.
-    pub fn present_bitmap(&self) -> Option<&BitVec> {
-        match &self.repr {
-            Repr::Dense { present, .. } => Some(present),
-            Repr::Sparse(_) => None,
-        }
-    }
-
-    /// Assembles a dense chunk directly from parts — the zero-copy path
-    /// used by positional (vectorized) kernels such as the aligned
-    /// structural join.
-    pub fn from_parts(
-        rect: HyperRect,
-        attr_types: Vec<AttrType>,
-        present: BitVec,
-        columns: Vec<Column>,
-    ) -> Result<Chunk> {
-        let len = rect.volume() as usize;
-        if present.len() != len {
-            return Err(Error::schema("presence bitmap length mismatch"));
-        }
-        if columns.len() != attr_types.len() {
-            return Err(Error::schema("column count mismatch"));
-        }
-        for c in &columns {
-            if c.len() != len {
-                return Err(Error::schema("column length mismatch"));
-            }
-        }
-        Ok(Chunk {
-            rect,
-            attr_types,
-            repr: Repr::Dense { present, columns },
-        })
-    }
-
-    /// Forces densification (bulk paths call this before columnar kernels).
-    pub fn densify(&mut self) -> Result<()> {
-        if self.is_dense() {
-            return Ok(());
-        }
-        let len = self.capacity();
-        let mut present = BitVec::filled(len, false);
-        let mut columns: Vec<Column> = self
-            .attr_types
-            .iter()
-            .map(|t| Column::new(t, len))
-            .collect();
-        if let Repr::Sparse(cells) = &self.repr {
-            for (&idx, rec) in cells {
-                present.set(idx, true);
-                for (col, val) in columns.iter_mut().zip(rec) {
-                    col.set(idx, val)?;
-                }
-            }
-        }
-        self.repr = Repr::Dense { present, columns };
-        Ok(())
+    /// The compact columns, one per attribute, one lane per present cell.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
     }
 
     /// Row-major offset of `coords` within this chunk.
@@ -524,83 +604,59 @@ impl Chunk {
         self.rect.linearize(coords)
     }
 
+    /// The lane of the present cell at `coords`, if any: a binary search
+    /// of the offsets.
+    pub fn lane_at(&self, coords: &[i64]) -> Option<usize> {
+        if !self.rect.contains(coords) {
+            return None;
+        }
+        let offset = self.offset_of(coords);
+        self.offsets
+            .binary_search_by(|&o| (o as usize).cmp(&offset))
+            // analyze: allow(R4, Err is where an absent cell would go, not an error)
+            .ok()
+    }
+
     /// True if the cell at `coords` is present.
     pub fn cell_present(&self, coords: &[i64]) -> bool {
-        self.rect.contains(coords) && self.present_at(self.offset_of(coords))
+        self.lane_at(coords).is_some()
     }
 
-    /// True if the cell at linear offset `idx` is present.
+    /// Reads the full record at lane `lane`.
+    pub fn record_at(&self, lane: usize) -> Record {
+        self.columns.iter().map(|c| c.get(lane)).collect()
+    }
+
+    /// Reads one attribute at lane `lane`.
+    pub fn value_at(&self, attr: usize, lane: usize) -> Value {
+        self.columns[attr].get(lane)
+    }
+
+    /// Borrows a nested-array attribute at lane `lane` without cloning it
+    /// (`None` when NULL or not a nested column) — the fast path for the
+    /// §2.14 clickstream analyses.
+    pub fn nested_at(&self, attr: usize, lane: usize) -> Option<&Array> {
+        match &self.columns[attr] {
+            Column::Nested { data } => data[lane].as_ref(),
+            _ => None,
+        }
+    }
+
+    /// Fast numeric read of one attribute at lane `lane`; `None` when the
+    /// value is NULL or non-numeric.
     #[inline]
-    pub fn present_at(&self, idx: usize) -> bool {
-        match &self.repr {
-            Repr::Sparse(cells) => cells.contains_key(&idx),
-            Repr::Dense { present, .. } => present.get(idx),
-        }
-    }
-
-    /// Reads the full record at linear offset `idx`; all-NULL placeholder
-    /// if the cell is empty (callers check `present_at` first).
-    pub fn record_at(&self, idx: usize) -> Record {
-        match &self.repr {
-            Repr::Sparse(cells) => cells
-                .get(&idx)
-                .cloned()
-                .unwrap_or_else(|| vec![Value::Null; self.attr_types.len()]),
-            Repr::Dense { columns, .. } => columns.iter().map(|c| c.get(idx)).collect(),
-        }
-    }
-
-    /// Reads one attribute at linear offset `idx` (NULL if empty).
-    pub fn value_at(&self, attr: usize, idx: usize) -> Value {
-        match &self.repr {
-            Repr::Sparse(cells) => cells.get(&idx).map_or(Value::Null, |rec| rec[attr].clone()),
-            Repr::Dense { columns, .. } => columns[attr].get(idx),
-        }
-    }
-
-    /// Borrows a nested-array attribute at a linear offset without cloning
-    /// it (`None` when empty, NULL, or not a nested column) — the fast path
-    /// for the §2.14 clickstream analyses.
-    pub fn nested_at(&self, attr: usize, idx: usize) -> Option<&Array> {
-        match &self.repr {
-            Repr::Sparse(cells) => cells.get(&idx).and_then(|rec| rec[attr].as_array()),
-            Repr::Dense { present, columns } => {
-                if !present.get(idx) {
-                    return None;
-                }
-                match &columns[attr] {
-                    Column::Nested { data } => data[idx].as_ref(),
-                    _ => None,
-                }
-            }
-        }
-    }
-
-    /// Fast numeric read of one attribute at a linear offset; `None` when
-    /// the cell is empty or the value NULL/non-numeric.
-    #[inline]
-    pub fn value_f64(&self, attr: usize, idx: usize) -> Option<f64> {
-        match &self.repr {
-            Repr::Sparse(cells) => cells.get(&idx).and_then(|rec| rec[attr].as_f64()),
-            Repr::Dense { present, columns } => {
-                if !present.get(idx) {
-                    return None;
-                }
-                columns[attr].get_f64(idx)
-            }
-        }
+    pub fn value_f64(&self, attr: usize, lane: usize) -> Option<f64> {
+        self.columns[attr].get_f64(lane)
     }
 
     /// Reads the full record at `coords`, or `None` if the cell is empty.
     pub fn get_record(&self, coords: &[i64]) -> Option<Record> {
-        let idx = self.offset_of(coords);
-        self.present_at(idx).then(|| self.record_at(idx))
+        self.lane_at(coords).map(|lane| self.record_at(lane))
     }
 
     /// Reads one attribute at `coords`, or `None` if the cell is empty.
     pub fn get_value(&self, attr: usize, coords: &[i64]) -> Option<Value> {
-        let idx = self.offset_of(coords);
-        self.present_at(idx).then(|| self.value_at(attr, idx))
+        self.lane_at(coords).map(|lane| self.value_at(attr, lane))
     }
 
     fn validate_record(&self, record: &Record) -> Result<()> {
@@ -644,55 +700,30 @@ impl Chunk {
         Ok(())
     }
 
-    fn maybe_densify(&mut self) -> Result<()> {
-        let threshold = (self.capacity() / DENSIFY_DIVISOR).max(1);
-        match &self.repr {
-            Repr::Sparse(cells) if cells.len() >= threshold => self.densify(),
-            _ => Ok(()),
-        }
-    }
-
-    /// Normalizes widening conversions (int→float/uncertain) for sparse
-    /// storage so reads are type-stable across representations.
-    fn normalize(&self, record: &Record) -> Record {
-        record
-            .iter()
-            .zip(&self.attr_types)
-            .map(|(v, ty)| match (v, ty) {
-                (Value::Scalar(Scalar::Int64(x)), AttrType::Scalar(ScalarType::Float64)) => {
-                    Value::from(*x as f64)
-                }
-                (
-                    Value::Scalar(Scalar::Int64(x)),
-                    AttrType::Scalar(ScalarType::UncertainFloat64),
-                ) => Value::from(Uncertain::exact(*x as f64)),
-                (
-                    Value::Scalar(Scalar::Float64(x)),
-                    AttrType::Scalar(ScalarType::UncertainFloat64),
-                ) => Value::from(Uncertain::exact(*x)),
-                _ => v.clone(),
-            })
-            .collect()
-    }
-
-    /// Writes a record at `coords`, marking the cell present.
+    /// Writes a record at `coords`, marking the cell present. A cell past
+    /// the last present one appends a lane; any other new cell inserts one
+    /// at its binary-searched position.
     pub fn set_record(&mut self, coords: &[i64], record: &Record) -> Result<()> {
         self.validate_record(record)?;
-        let idx = self.offset_of(coords);
-        match &mut self.repr {
-            Repr::Sparse(_) => {
-                let normalized = self.normalize(record);
-                if let Repr::Sparse(cells) = &mut self.repr {
-                    cells.insert(idx, normalized);
+        let offset = u32::try_from(self.offset_of(coords))
+            .map_err(|_| Error::dimension("chunk offset exceeds the u32 cell limit"))?;
+        let lane = match self.offsets.last() {
+            None => Err(0),
+            Some(&last) if offset > last => Err(self.offsets.len()),
+            Some(_) => self.offsets.binary_search(&offset),
+        };
+        let lane = match lane {
+            Ok(lane) => lane,
+            Err(lane) => {
+                Arc::make_mut(&mut self.offsets).insert(lane, offset);
+                for col in &mut self.columns {
+                    col.insert_null(lane);
                 }
-                self.maybe_densify()?;
+                lane
             }
-            Repr::Dense { present, columns } => {
-                for (col, val) in columns.iter_mut().zip(record) {
-                    col.set(idx, val)?;
-                }
-                present.set(idx, true);
-            }
+        };
+        for (col, val) in self.columns.iter_mut().zip(record) {
+            col.set(lane, val)?;
         }
         Ok(())
     }
@@ -709,43 +740,26 @@ impl Chunk {
 
     /// Marks a cell empty again (used by delta deletion flags, §2.5).
     pub fn clear_cell(&mut self, coords: &[i64]) {
-        let idx = self.offset_of(coords);
-        match &mut self.repr {
-            Repr::Sparse(cells) => {
-                cells.remove(&idx);
+        if let Some(lane) = self.lane_at(coords) {
+            Arc::make_mut(&mut self.offsets).remove(lane);
+            for col in &mut self.columns {
+                col.remove(lane);
             }
-            Repr::Dense { present, .. } => present.set(idx, false),
         }
     }
 
-    /// Iterates `(coords, linear offset)` of present cells in row-major
-    /// order.
-    pub fn iter_present(&self) -> Box<dyn Iterator<Item = (crate::geometry::Coords, usize)> + '_> {
-        match &self.repr {
-            Repr::Sparse(cells) => Box::new(
-                cells
-                    .keys()
-                    .map(move |&idx| (self.rect.delinearize(idx), idx)),
-            ),
-            Repr::Dense { present, .. } => Box::new(
-                present
-                    .iter_ones()
-                    .map(move |idx| (self.rect.delinearize(idx), idx)),
-            ),
-        }
+    /// Iterates `(coords, lane)` of present cells in row-major order.
+    pub fn iter_present(&self) -> impl Iterator<Item = (Coords, usize)> + '_ {
+        self.offsets
+            .iter()
+            .enumerate()
+            .map(move |(lane, &off)| (self.rect.delinearize(off as usize), lane))
     }
 
-    /// Approximate heap footprint in bytes.
+    /// Approximate heap footprint in bytes: 4 bytes of offset per present
+    /// cell plus the compact columns.
     pub fn byte_size(&self) -> usize {
-        match &self.repr {
-            Repr::Sparse(cells) => cells
-                .values()
-                .map(|rec| 16 + rec.iter().map(value_byte_size).sum::<usize>())
-                .sum(),
-            Repr::Dense { present, columns } => {
-                present.byte_size() + columns.iter().map(Column::byte_size).sum::<usize>()
-            }
-        }
+        self.offsets.len() * 4 + self.columns.iter().map(Column::byte_size).sum::<usize>()
     }
 }
 
@@ -764,57 +778,93 @@ mod tests {
     }
 
     #[test]
-    fn new_chunk_is_empty_and_sparse() {
+    fn new_chunk_is_empty() {
         let c = float_chunk();
         assert_eq!(c.capacity(), 16);
         assert_eq!(c.present_count(), 0);
         assert!(c.is_empty());
-        assert!(!c.is_dense());
+        assert!(c.offsets().is_empty());
         assert_eq!(c.get_record(&[1, 1]), None);
     }
 
     #[test]
-    fn set_get_record_roundtrip_sparse() {
+    fn set_get_record_roundtrip() {
         let mut c = float_chunk();
         c.set_record(&[2, 3], &record([Value::from(1.5)])).unwrap();
         assert_eq!(c.present_count(), 1);
-        assert!(!c.is_dense());
+        assert_eq!(c.offsets(), &[6]);
         assert_eq!(c.get_record(&[2, 3]), Some(vec![Value::from(1.5)]));
         assert!(c.cell_present(&[2, 3]));
         assert!(!c.cell_present(&[3, 2]));
+        assert!(!c.cell_present(&[5, 5]), "outside the rectangle");
     }
 
     #[test]
-    fn densifies_at_quarter_fill() {
+    fn out_of_order_writes_keep_offsets_sorted() {
         let mut c = float_chunk();
-        for j in 1..=4i64 {
-            c.set_record(&[1, j], &record([Value::from(j as f64)]))
+        for (k, coords) in [[3, 1], [1, 2], [4, 4], [1, 1], [3, 1]].iter().enumerate() {
+            c.set_record(coords, &record([Value::from(k as f64)]))
                 .unwrap();
         }
-        assert!(c.is_dense(), "16-cell chunk densifies at 4 cells");
-        // Contents survive densification.
-        for j in 1..=4i64 {
-            assert_eq!(c.get_record(&[1, j]), Some(vec![Value::from(j as f64)]));
-        }
-        assert_eq!(c.present_count(), 4);
+        assert_eq!(c.offsets(), &[0, 1, 8, 15]);
+        assert_eq!(c.columns()[0].len(), 4);
+        // The second write to [3, 1] overwrote its lane.
+        assert_eq!(c.get_value(0, &[3, 1]), Some(Value::from(4.0)));
+        assert_eq!(c.get_value(0, &[1, 1]), Some(Value::from(3.0)));
+        c.clear_cell(&[1, 2]);
+        assert_eq!(c.offsets(), &[0, 8, 15]);
+        assert_eq!(c.get_value(0, &[4, 4]), Some(Value::from(2.0)));
     }
 
     #[test]
-    fn dense_and_sparse_compare_equal() {
-        let mut sparse = float_chunk();
-        sparse
-            .set_record(&[2, 2], &record([Value::from(9.0)]))
-            .unwrap();
-        let mut dense = float_chunk();
-        dense.densify().unwrap();
-        dense
-            .set_record(&[2, 2], &record([Value::from(9.0)]))
-            .unwrap();
-        assert_eq!(sparse, dense);
-        dense
+    fn equality_is_logical() {
+        let mut forward = float_chunk();
+        let mut backward = float_chunk();
+        for j in 1..=4i64 {
+            forward
+                .set_record(&[1, j], &record([Value::from(j as f64)]))
+                .unwrap();
+            backward
+                .set_record(&[1, 5 - j], &record([Value::from((5 - j) as f64)]))
+                .unwrap();
+        }
+        assert_eq!(forward, backward);
+        // A NULL lane's stale value slot is invisible.
+        forward.set_record(&[1, 2], &record([Value::Null])).unwrap();
+        let mut fresh = backward.clone();
+        fresh.clear_cell(&[1, 2]);
+        fresh.set_record(&[1, 2], &record([Value::Null])).unwrap();
+        assert_eq!(forward, fresh);
+        backward
             .set_record(&[3, 3], &record([Value::from(1.0)]))
             .unwrap();
-        assert_ne!(sparse, dense);
+        assert_ne!(forward, backward);
+    }
+
+    #[test]
+    fn clones_share_offsets_until_written() {
+        let mut c = float_chunk();
+        c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
+        let mut d = c.clone();
+        assert_eq!(c.offsets().as_ptr(), d.offsets().as_ptr());
+        d.set_record(&[2, 2], &record([Value::from(2.0)])).unwrap();
+        assert_ne!(c.offsets().as_ptr(), d.offsets().as_ptr());
+        assert_eq!(c.present_count(), 1);
+        assert_eq!(d.present_count(), 2);
+    }
+
+    #[test]
+    fn from_parts_rejects_bad_offsets_and_lengths() {
+        let types = vec![AttrType::Scalar(ScalarType::Int64)];
+        let col = |n| Column::new(&types[0], n);
+        let parts = |offsets: Vec<u32>, n| {
+            Chunk::from_parts(rect2(), types.clone(), Arc::new(offsets), vec![col(n)])
+        };
+        assert!(parts(vec![0, 5, 15], 3).is_ok());
+        assert!(parts(vec![5, 5], 2).is_err(), "repeated offset");
+        assert!(parts(vec![5, 0], 2).is_err(), "descending offsets");
+        assert!(parts(vec![16], 1).is_err(), "offset past the capacity");
+        assert!(parts(vec![1, 2], 3).is_err(), "column longer than offsets");
     }
 
     #[test]
@@ -826,25 +876,22 @@ mod tests {
     }
 
     #[test]
-    fn type_mismatch_rejected_in_both_representations() {
+    fn type_mismatch_rejected() {
         let mut c = float_chunk();
-        assert!(matches!(
-            c.set_record(&[1, 1], &record([Value::from("oops")])),
-            Err(Error::Schema(_))
-        ));
-        c.densify().unwrap();
-        assert!(matches!(
-            c.set_record(&[1, 1], &record([Value::from("oops")])),
-            Err(Error::Schema(_))
-        ));
+        for _ in 0..2 {
+            assert!(matches!(
+                c.set_record(&[1, 1], &record([Value::from("oops")])),
+                Err(Error::Schema(_))
+            ));
+            c.set_record(&[2, 2], &record([Value::from(1.0)])).unwrap();
+        }
+        assert_eq!(c.present_count(), 1, "a rejected write adds no lane");
     }
 
     #[test]
-    fn int_widens_to_float_column_in_both_representations() {
+    fn int_widens_to_float_column() {
         let mut c = float_chunk();
         c.set_record(&[1, 1], &record([Value::from(3i64)])).unwrap();
-        assert_eq!(c.get_value(0, &[1, 1]), Some(Value::from(3.0)));
-        c.densify().unwrap();
         assert_eq!(c.get_value(0, &[1, 1]), Some(Value::from(3.0)));
     }
 
@@ -854,7 +901,7 @@ mod tests {
         c.set_record(&[1, 1], &record([Value::Null])).unwrap();
         assert!(c.cell_present(&[1, 1]));
         assert_eq!(c.get_value(0, &[1, 1]), Some(Value::Null));
-        assert_eq!(c.value_f64(0, c.offset_of(&[1, 1])), None);
+        assert_eq!(c.value_f64(0, c.lane_at(&[1, 1]).unwrap()), None);
     }
 
     #[test]
@@ -863,22 +910,18 @@ mod tests {
         c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
         c.clear_cell(&[1, 1]);
         assert!(!c.cell_present(&[1, 1]));
-        c.densify().unwrap();
-        c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
+        assert!(c.is_empty());
         c.clear_cell(&[1, 1]);
-        assert!(!c.cell_present(&[1, 1]));
+        assert!(c.is_empty(), "clearing an empty cell is a no-op");
     }
 
     #[test]
-    fn iter_present_row_major_both_representations() {
+    fn iter_present_row_major() {
         let mut c = float_chunk();
         c.set_record(&[2, 1], &record([Value::from(1.0)])).unwrap();
         c.set_record(&[1, 4], &record([Value::from(2.0)])).unwrap();
-        let coords: Vec<_> = c.iter_present().map(|(co, _)| co).collect();
-        assert_eq!(coords, vec![vec![1, 4], vec![2, 1]]);
-        c.densify().unwrap();
-        let coords: Vec<_> = c.iter_present().map(|(co, _)| co).collect();
-        assert_eq!(coords, vec![vec![1, 4], vec![2, 1]]);
+        let cells: Vec<_> = c.iter_present().collect();
+        assert_eq!(cells, vec![(vec![1, 4], 0), (vec![2, 1], 1)]);
     }
 
     #[test]
@@ -899,18 +942,17 @@ mod tests {
     }
 
     #[test]
-    fn sparse_chunk_is_small() {
-        // One cell in a 4096-cell chunk: sparse bytes ≪ dense bytes.
+    fn chunk_bytes_follow_present_cells() {
+        // One cell of a 4096-cell chunk costs one lane; a full chunk costs
+        // its values, its NULL bitmap and 4 bytes of offset per cell.
         let big = HyperRect::new(vec![1, 1], vec![64, 64]).unwrap();
-        let mut sparse = Chunk::new(big.clone(), &[AttrType::Scalar(ScalarType::Float64)]);
-        sparse
-            .set_record(&[1, 1], &record([Value::from(1.0)]))
-            .unwrap();
-        let mut dense = Chunk::new_dense(big, &[AttrType::Scalar(ScalarType::Float64)]);
-        dense
-            .set_record(&[1, 1], &record([Value::from(1.0)]))
-            .unwrap();
-        assert!(sparse.byte_size() * 50 < dense.byte_size());
+        let mut c = Chunk::new(big.clone(), &[AttrType::Scalar(ScalarType::Float64)]);
+        c.set_record(&[1, 1], &record([Value::from(1.0)])).unwrap();
+        assert_eq!(c.byte_size(), 4 + 8 + 8);
+        for coords in big.iter_cells() {
+            c.set_record(&coords, &record([Value::from(1.0)])).unwrap();
+        }
+        assert_eq!(c.byte_size(), 4096 * (4 + 8) + 4096 / 8);
     }
 
     #[test]
@@ -923,22 +965,33 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(c.is_dense());
-        match &c.columns().unwrap()[0] {
+        match &c.columns()[0] {
             Column::Uncertain { sigmas, .. } => assert!(sigmas.is_constant()),
             _ => panic!("wrong column type"),
         }
         // A divergent sigma upgrades the store.
         c.set_record(&[1, 1], &record([Value::from(Uncertain::new(0.0, 0.9))]))
             .unwrap();
-        match &c.columns().unwrap()[0] {
+        match &c.columns()[0] {
             Column::Uncertain { sigmas, .. } => {
                 assert!(!sigmas.is_constant());
-                assert_eq!(sigmas.get(c.offset_of(&[1, 1])), 0.9);
-                assert_eq!(sigmas.get(c.offset_of(&[1, 2])), 0.5);
+                assert_eq!(sigmas.get(c.lane_at(&[1, 1]).unwrap()), 0.9);
+                assert_eq!(sigmas.get(c.lane_at(&[1, 2]).unwrap()), 0.5);
             }
             _ => panic!("wrong column type"),
         }
+        // Lanes opened and closed later keep the per-lane sigmas aligned.
+        c.clear_cell(&[1, 1]);
+        c.set_record(&[1, 1], &record([Value::from(Uncertain::new(0.0, 0.7))]))
+            .unwrap();
+        assert_eq!(
+            c.get_value(0, &[1, 1]),
+            Some(Value::from(Uncertain::new(0.0, 0.7)))
+        );
+        assert_eq!(
+            c.get_value(0, &[1, 2]),
+            Some(Value::from(Uncertain::new(1.0, 0.5)))
+        );
     }
 
     #[test]
@@ -950,7 +1003,6 @@ mod tests {
                 c.set_record(&coords, &record([Value::from(Uncertain::new(1.0, sigma))]))
                     .unwrap();
             }
-            assert!(c.is_dense());
             c.byte_size()
         };
         assert!(mk(false) < mk(true));
@@ -965,16 +1017,17 @@ mod tests {
                 AttrType::Scalar(ScalarType::String),
             ],
         );
+        c.set_record(&[2, 2], &record([Value::from(false), Value::from("b")]))
+            .unwrap();
         c.set_record(&[1, 1], &record([Value::from(true), Value::from("hi")]))
             .unwrap();
         assert_eq!(
             c.get_record(&[1, 1]),
             Some(vec![Value::from(true), Value::from("hi")])
         );
-        c.densify().unwrap();
         assert_eq!(
-            c.get_record(&[1, 1]),
-            Some(vec![Value::from(true), Value::from("hi")])
+            c.get_record(&[2, 2]),
+            Some(vec![Value::from(false), Value::from("b")])
         );
     }
 }

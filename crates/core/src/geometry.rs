@@ -68,6 +68,18 @@ impl HyperRect {
         (0..self.rank()).map(|d| self.len(d) as u64).product()
     }
 
+    /// Number of cells, or `None` when a side or the product overflows
+    /// `u64` — the form for rectangles read from untrusted bytes.
+    pub fn checked_volume(&self) -> Option<u64> {
+        (0..self.rank()).try_fold(1u64, |cells, d| {
+            let side = i128::from(self.high[d]) - i128::from(self.low[d]) + 1;
+            if !(1..=i128::from(u64::MAX)).contains(&side) {
+                return None;
+            }
+            cells.checked_mul(side as u64)
+        })
+    }
+
     /// True if the rectangle contains `coords`.
     pub fn contains(&self, coords: &[i64]) -> bool {
         coords.len() == self.rank()

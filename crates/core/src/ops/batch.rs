@@ -1,54 +1,55 @@
-//! Vectorized batch kernels over dense columnar chunks (§2.8).
+//! Vectorized batch kernels over compact columnar chunks (§2.8).
 //!
 //! The chunk-parallel kernels in [`content`](super::content),
 //! [`structural`](super::structural), and [`regrid`](super::regrid) fan
 //! work out *across* chunks; this module makes execution *inside* a chunk
-//! column-at-a-time. A dense chunk already stores each attribute as a
-//! contiguous typed vector with a validity bitmap
-//! ([`Column`](crate::chunk::Column)), so the batch path:
+//! column-at-a-time. Every chunk stores each attribute as a contiguous
+//! typed vector with a NULL bitmap, one *lane* per present cell
+//! ([`Column`](crate::chunk::Column)), so the batch path runs on sparse and
+//! full chunks alike:
 //!
 //! * evaluates expressions as whole-column vector operations ([`BVec`]),
 //!   producing tight `Vec<i64>`/`Vec<f64>` loops the compiler can
 //!   autovectorize;
-//! * turns filter into a **selection vector** — a null-out bitmap combined
-//!   with the presence bitmap by word-level bit operations, never touching
-//!   the value vectors (§2.2.2 semantics: failing present cells keep their
-//!   position and become all-NULL records);
-//! * turns project into pure column clones, apply into a fused
-//!   expression-plus-append loop, and aggregate/regrid into per-column
-//!   folds that never materialize records;
+//! * turns filter into a **selection vector** — a null-out bitmap applied
+//!   to each column's NULL bitmap by word-level bit operations, never
+//!   touching the value vectors (§2.2.2 semantics: failing present cells
+//!   keep their position and become all-NULL records);
+//! * turns project into pure column clones and apply into a fused
+//!   expression-plus-append loop, all three sharing the input's offsets,
+//!   and aggregate/regrid into per-column folds that never materialize
+//!   records;
 //! * evaluates subsample's per-dimension conditions once per distinct
 //!   index value instead of once per cell.
 //!
 //! # The bail-out contract
 //!
-//! Every entry point returns `Option`: `None` means "this chunk or this
-//! expression needs the value-at-a-time path", and the caller falls back
-//! to the original per-cell loop. The batch evaluator only accepts
-//! expression forms that are **provably error-free at every lane** for the
-//! column types involved, because it evaluates all `capacity()` lanes —
-//! including empty cells, whose column slots may hold stale values — and
-//! only consumes results at present lanes. Anything that could error
-//! (UDF calls, string/nested operands, modulo on floats, comparisons
-//! where a relevant lane holds NaN, type-mismatched writes) bails, so the
-//! fallback reproduces the serial engine's exact error behavior. Uncertain
-//! columns are admitted **only** as direct comparison operands (compared
-//! by mean, exactly like [`Scalar::compare`](crate::value::Scalar)); any
-//! arithmetic on them bails because §2.13 error propagation changes the
-//! result type.
+//! Every entry point returns `Option`: `None` means "this expression needs
+//! the value-at-a-time path", and the caller falls back to the original
+//! per-cell loop. The batch evaluator only accepts expression forms that
+//! are **provably error-free at every lane** for the column types
+//! involved, because it evaluates every lane — including NULL lanes, whose
+//! value slots may hold stale values — and only consumes results at
+//! non-NULL ones. Anything that could error (UDF calls, string/nested
+//! operands, modulo on floats, comparisons where a non-NULL lane holds
+//! NaN, type-mismatched writes) bails, so the fallback reproduces the
+//! serial engine's exact error behavior. Uncertain columns are admitted
+//! **only** as direct comparison operands (compared by mean, exactly like
+//! [`Scalar::compare`](crate::value::Scalar)); any arithmetic on them bails
+//! because §2.13 error propagation changes the result type.
 //!
 //! The caller is one of the chunk drivers in [`ops`](super): `map_chunks`
 //! tries a kernel's batch body per chunk and counts the chunks that took
 //! each path on the kernel span (`batch_chunks`, `fallback_chunks`).
 //! Byte-identity with the per-cell path is enforced by the conformance
 //! harness (six engines) and by `tests/parallel_equivalence.rs`, which also
-//! asserts that dense input takes the batch path.
+//! asserts that full and sparse chunks take the batch path.
 
 use crate::bitvec::BitVec;
 use crate::chunk::{Chunk, Column};
 use crate::error::Result;
 use crate::expr::{BinOp, Expr, UnaryOp};
-use crate::geometry::{Coords, HyperRect};
+use crate::geometry::Coords;
 use crate::ops::structural::{DimCond, DimPredicate};
 use crate::schema::{ArraySchema, AttrType};
 use crate::udf::{AggState, AggregateFn};
@@ -83,31 +84,28 @@ impl BVec {
     }
 }
 
-/// Lane values of dimension `d`: `low[d] + (lane / stride) % extent`,
-/// matching [`HyperRect::delinearize`] row-major order.
-fn dim_lanes(rect: &HyperRect, d: usize) -> Vec<i64> {
-    let n = rect.volume() as usize;
-    let mut stride = 1usize;
-    for e in d + 1..rect.rank() {
-        stride *= rect.len(e) as usize;
-    }
+/// Dimension `d`'s index value at every lane: `low[d] + (offset / stride)
+/// % extent` of the lane's offset, matching [`HyperRect::delinearize`]
+/// row-major order.
+///
+/// [`HyperRect::delinearize`]: crate::geometry::HyperRect::delinearize
+fn dim_lanes(chunk: &Chunk, d: usize) -> Vec<i64> {
+    let rect = chunk.rect();
+    let stride: usize = (d + 1..rect.rank()).map(|e| rect.len(e) as usize).product();
     let extent = rect.len(d) as usize;
     let lo = rect.low[d];
-    (0..n)
-        .map(|i| lo + ((i / stride) % extent) as i64)
+    chunk
+        .offsets()
+        .iter()
+        .map(|&off| lo + ((off as usize / stride) % extent) as i64)
         .collect()
 }
 
-/// Evaluates `expr` over every lane of a dense chunk. `None` = bail to the
+/// Evaluates `expr` over every lane of a chunk. `None` = bail to the
 /// per-cell path (see the module docs for the bail-out contract).
-fn eval_batch(
-    expr: &Expr,
-    schema: &ArraySchema,
-    cols: &[Column],
-    rect: &HyperRect,
-    present: &BitVec,
-) -> Option<BVec> {
-    let n = rect.volume() as usize;
+fn eval_batch(expr: &Expr, schema: &ArraySchema, chunk: &Chunk) -> Option<BVec> {
+    let cols = chunk.columns();
+    let n = chunk.present_count();
     match expr {
         Expr::Attr(name) => {
             let i = schema.attr_index(name)?;
@@ -132,7 +130,7 @@ fn eval_batch(
         Expr::Dim(name) => {
             let d = schema.dim_index(name)?;
             Some(BVec::exact(
-                BData::I64(dim_lanes(rect, d)),
+                BData::I64(dim_lanes(chunk, d)),
                 BitVec::filled(n, false),
             ))
         }
@@ -153,13 +151,13 @@ fn eval_batch(
                 let col = cols.get(i)?;
                 (0..n).map(|idx| col.is_null(idx)).collect()
             } else {
-                let v = eval_batch(inner, schema, cols, rect, present)?;
+                let v = eval_batch(inner, schema, chunk)?;
                 (0..n).map(|idx| v.nulls.get(idx)).collect()
             };
             Some(BVec::exact(BData::Bool(bits), BitVec::filled(n, false)))
         }
         Expr::Unary(op, e) => {
-            let v = eval_batch(e, schema, cols, rect, present)?;
+            let v = eval_batch(e, schema, chunk)?;
             if v.uncertain {
                 return None; // §2.13 propagation changes the result type
             }
@@ -182,12 +180,12 @@ fn eval_batch(
         Expr::Binary(op, a, b) => {
             // The serial evaluator computes both operands unconditionally
             // (no short-circuit), so evaluating both here is equivalent.
-            let va = eval_batch(a, schema, cols, rect, present)?;
-            let vb = eval_batch(b, schema, cols, rect, present)?;
+            let va = eval_batch(a, schema, chunk)?;
+            let vb = eval_batch(b, schema, chunk)?;
             match op {
                 BinOp::And | BinOp::Or => eval_logic_batch(*op, va, vb),
                 BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    eval_cmp_batch(*op, va, vb, present)
+                    eval_cmp_batch(*op, va, vb)
                 }
                 BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
                     eval_arith_batch(*op, va, vb)
@@ -252,9 +250,9 @@ fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
 
 /// Vector comparison with [`Scalar::compare`] semantics: integer pairs
 /// compare exactly, booleans order `false < true`, every other numeric mix
-/// compares as `f64`. A NaN at any lane that is present and non-null on
-/// both sides bails (the serial engine errors there).
-fn eval_cmp_batch(op: BinOp, va: BVec, vb: BVec, present: &BitVec) -> Option<BVec> {
+/// compares as `f64`. A NaN at any lane that is non-null on both sides
+/// bails (the serial engine errors there).
+fn eval_cmp_batch(op: BinOp, va: BVec, vb: BVec) -> Option<BVec> {
     let n = va.nulls.len();
     let mut nulls = va.nulls.clone();
     nulls.union_with(&vb.nulls);
@@ -281,7 +279,7 @@ fn eval_cmp_batch(op: BinOp, va: BVec, vb: BVec, present: &BitVec) -> Option<BVe
             };
             let a = widen(&va.data);
             let b = widen(&vb.data);
-            for i in present.iter_ones() {
+            for i in 0..n {
                 if !nulls.get(i) && (a[i].is_nan() || b[i].is_nan()) {
                     return None; // serial: partial_cmp → None → error
                 }
@@ -389,45 +387,36 @@ fn eval_arith_batch(op: BinOp, va: BVec, vb: BVec) -> Option<BVec> {
     Some(BVec::exact(BData::F64(data), nulls))
 }
 
-/// Batch filter over one dense chunk (§2.2.2): evaluates the predicate
+/// Batch filter over one chunk (§2.2.2): evaluates the predicate
 /// column-at-a-time into a selection vector, then nulls out the records of
-/// present cells that fail (or NULL) it with one word-level bitmap union
-/// per column. The presence bitmap is untouched — failing cells stay
-/// present as all-NULL records, exactly like the per-cell path.
+/// the cells that fail (or NULL) it with one word-level bitmap union per
+/// column. Presence is untouched and shared with the input — failing cells
+/// stay present as all-NULL records, exactly like the per-cell path.
 pub(crate) fn filter_columns(chunk: &Chunk, schema: &ArraySchema, pred: &Expr) -> Option<Chunk> {
-    let cols = chunk.columns()?;
-    let present = chunk.present_bitmap()?;
-    let v = eval_batch(pred, schema, cols, chunk.rect(), present)?;
+    let v = eval_batch(pred, schema, chunk)?;
     if v.uncertain {
         return None;
     }
     let BData::Bool(keep) = &v.data else {
         return None; // non-boolean predicates error serially
     };
-    // Selection vector: present ∧ ¬(keep ∧ ¬null) = the cells to null out.
-    let n = chunk.capacity();
-    let mut null_out = BitVec::filled(n, false);
-    for idx in present.iter_ones() {
-        if v.nulls.get(idx) || !keep[idx] {
-            null_out.set(idx, true);
+    // Selection vector: null ∨ ¬keep = the lanes to null out.
+    let mut null_out = v.nulls;
+    for (lane, &k) in keep.iter().enumerate() {
+        if !k {
+            null_out.set(lane, true);
         }
     }
-    let mut out_cols = cols.to_vec();
+    let mut out_cols = chunk.columns().to_vec();
     for col in &mut out_cols {
         col.null_out(&null_out);
     }
-    Chunk::from_parts(
-        chunk.rect().clone(),
-        chunk.attr_types().to_vec(),
-        present.clone(),
-        out_cols,
-    )
-    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
+    Some(chunk.with_columns(chunk.attr_types().to_vec(), out_cols))
 }
 
-/// Batch apply over one dense chunk: fused expression evaluation plus
-/// column append. Bails when the expression result cannot be written to
-/// the declared output type without the per-cell validation path (whose
+/// Batch apply over one chunk: fused expression evaluation plus column
+/// append. Bails when the expression result cannot be written to the
+/// declared output type without the per-cell validation path (whose
 /// errors must surface exactly).
 pub(crate) fn apply_columns(
     chunk: &Chunk,
@@ -435,9 +424,7 @@ pub(crate) fn apply_columns(
     expr: &Expr,
     out_types: &[AttrType],
 ) -> Option<Chunk> {
-    let cols = chunk.columns()?;
-    let present = chunk.present_bitmap()?;
-    let v = eval_batch(expr, schema, cols, chunk.rect(), present)?;
+    let v = eval_batch(expr, schema, chunk)?;
     if v.uncertain {
         return None;
     }
@@ -461,51 +448,28 @@ pub(crate) fn apply_columns(
         },
         _ => return None,
     };
-    let mut out_cols = cols.to_vec();
+    let mut out_cols = chunk.columns().to_vec();
     out_cols.push(new_col);
-    Chunk::from_parts(
-        chunk.rect().clone(),
-        out_types.to_vec(),
-        present.clone(),
-        out_cols,
-    )
-    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
+    Some(chunk.with_columns(out_types.to_vec(), out_cols))
 }
 
-/// Batch project over one dense chunk: a pure column subset — clones the
-/// kept value vectors and the presence bitmap, touching no cell.
-pub(crate) fn project_columns(
-    chunk: &Chunk,
-    idxs: &[usize],
-    out_types: &[AttrType],
-) -> Option<Chunk> {
-    let cols = chunk.columns()?;
-    let present = chunk.present_bitmap()?;
-    let out_cols: Vec<Column> = idxs
-        .iter()
-        .map(|&i| cols.get(i).cloned())
-        .collect::<Option<_>>()?;
-    Chunk::from_parts(
-        chunk.rect().clone(),
-        out_types.to_vec(),
-        present.clone(),
-        out_cols,
-    )
-    .ok() // analyze: allow(R4, None means "fall back to the per-cell loop", which reproduces the exact error)
+/// Batch project over one chunk: a pure column subset — clones the kept
+/// value vectors and shares the offsets, touching no cell.
+pub(crate) fn project_columns(chunk: &Chunk, idxs: &[usize], out_types: &[AttrType]) -> Chunk {
+    let out_cols = idxs.iter().map(|&i| chunk.columns()[i].clone()).collect();
+    chunk.with_columns(out_types.to_vec(), out_cols)
 }
 
-/// Batch subsample over one dense chunk: evaluates each dimension
-/// condition once per distinct index value into per-dimension allow
-/// tables, then visits only the cells they allow. Returns the output
-/// chunk and the number of present cells visited. Bails on sparse
-/// chunks and on `Fn` conditions (UDFs need the registry and can error).
+/// Batch subsample over one chunk: evaluates each dimension condition once
+/// per distinct index value into per-dimension allow tables, then keeps
+/// the lanes they allow. Returns the output chunk and the number of
+/// present cells kept. Bails on `Fn` conditions (UDFs need the registry
+/// and can error).
 pub(crate) fn subsample_columns(
     chunk: &Chunk,
     schema: &ArraySchema,
     pred: &DimPredicate,
 ) -> Option<(Chunk, u64)> {
-    let cols = chunk.columns()?;
-    let present = chunk.present_bitmap()?;
     if pred
         .conds()
         .iter()
@@ -528,38 +492,53 @@ pub(crate) fn subsample_columns(
             }
         }
     }
-    // The row-major offsets every dimension allows: only these cells are
-    // visited, so a slice touches its own cells and no others.
-    let mut idxs = vec![0usize];
-    for allow in &allowed {
-        let offs: Vec<usize> = (0..allow.len()).filter(|&o| allow[o]).collect();
-        idxs = idxs
-            .iter()
-            .flat_map(|&base| offs.iter().map(move |&o| base * allow.len() + o))
-            .collect();
+    let offsets = chunk.offsets();
+    let allowed_cells: usize = allowed
+        .iter()
+        .map(|a| a.iter().filter(|&&x| x).count())
+        .product();
+    if allowed_cells == chunk.capacity() {
+        return Some((chunk.clone(), offsets.len() as u64));
     }
-    let mut mask = BitVec::filled(chunk.capacity(), false);
-    let mut cells = 0u64;
-    for idx in idxs {
-        if present.get(idx) {
-            cells += 1;
-            mask.set(idx, true);
+    let lanes: Vec<usize> = if offsets.len() == chunk.capacity() {
+        // A slice or slab of a full chunk, whose lanes are its offsets:
+        // walk only the allowed row-major offsets, so a slice touches its
+        // own cells and no others.
+        let mut wanted = vec![0usize];
+        for allow in &allowed {
+            let offs: Vec<usize> = (0..allow.len()).filter(|&o| allow[o]).collect();
+            wanted = wanted
+                .iter()
+                .flat_map(|&base| offs.iter().map(move |&o| base * allow.len() + o))
+                .collect();
         }
-    }
-    let oc = Chunk::from_parts(
-        rect.clone(),
-        chunk.attr_types().to_vec(),
-        mask,
-        cols.to_vec(),
-    )
-    .ok()?;
+        wanted
+    } else {
+        // Test each present cell's index on every dimension.
+        (0..offsets.len())
+            .filter(|&lane| {
+                let mut off = offsets[lane] as usize;
+                allowed.iter().rev().all(|allow| {
+                    let ok = allow[off % allow.len()];
+                    off /= allow.len();
+                    ok
+                })
+            })
+            .collect()
+    };
+    let cells = lanes.len() as u64;
+    let oc = if lanes.len() == offsets.len() {
+        chunk.clone()
+    } else {
+        chunk.gather(&lanes)
+    };
     Some((oc, cells))
 }
 
 /// Per-chunk grouped aggregate fold reading values column-direct (no
-/// record materialization on dense chunks). Each aggregate state receives
-/// its updates in ascending row-major order — the same sequence as the
-/// value-at-a-time path — so partials are bitwise identical.
+/// record materialization). Each aggregate state receives its updates in
+/// ascending row-major order — the same sequence as a value-at-a-time
+/// loop — so partials are bitwise identical.
 pub(crate) fn fold_groups_columnar<K: Fn(&[i64]) -> Coords>(
     chunk: &Chunk,
     attr_idxs: &[usize],
@@ -568,56 +547,31 @@ pub(crate) fn fold_groups_columnar<K: Fn(&[i64]) -> Coords>(
     local: &mut BTreeMap<Coords, Vec<Box<dyn AggState>>>,
 ) -> Result<u64> {
     let n_states = attr_idxs.len();
-    let mut cells = 0u64;
-    if let Some(cols) = chunk.columns() {
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
-            let states = local
-                .entry(key_of(&coords))
-                .or_insert_with(|| (0..n_states).map(|_| agg.create()).collect());
-            for (si, &ai) in attr_idxs.iter().enumerate() {
-                states[si].update(&cols[ai].get(idx))?;
-            }
-        }
-    } else {
-        for (coords, idx) in chunk.iter_present() {
-            cells += 1;
-            let rec = chunk.record_at(idx);
-            let states = local
-                .entry(key_of(&coords))
-                .or_insert_with(|| (0..n_states).map(|_| agg.create()).collect());
-            for (si, &ai) in attr_idxs.iter().enumerate() {
-                states[si].update(&rec[ai])?;
-            }
+    let cols = chunk.columns();
+    for (coords, lane) in chunk.iter_present() {
+        let states = local
+            .entry(key_of(&coords))
+            .or_insert_with(|| (0..n_states).map(|_| agg.create()).collect());
+        for (si, &ai) in attr_idxs.iter().enumerate() {
+            states[si].update(&cols[ai].get(lane))?;
         }
     }
-    Ok(cells)
+    Ok(chunk.present_count() as u64)
 }
 
 /// Ungrouped per-chunk aggregate fold: one pass per aggregated column over
-/// the presence bitmap — the true per-column fold. Safe because each state
-/// only observes its own column, in ascending offset order either way.
+/// its lanes — the true per-column fold. Safe because each state only
+/// observes its own column, in ascending offset order either way.
 pub(crate) fn fold_ungrouped_columnar(
     chunk: &Chunk,
     attr_idxs: &[usize],
     states: &mut [Box<dyn AggState>],
 ) -> Result<u64> {
-    if let (Some(cols), Some(present)) = (chunk.columns(), chunk.present_bitmap()) {
-        for (si, &ai) in attr_idxs.iter().enumerate() {
-            let col = &cols[ai];
-            for idx in present.iter_ones() {
-                states[si].update(&col.get(idx))?;
-            }
+    for (si, &ai) in attr_idxs.iter().enumerate() {
+        let col = &chunk.columns()[ai];
+        for lane in 0..col.len() {
+            states[si].update(&col.get(lane))?;
         }
-        Ok(present.count_ones() as u64)
-    } else {
-        let mut cells = 0u64;
-        for (_, idx) in chunk.iter_present() {
-            cells += 1;
-            for (si, &ai) in attr_idxs.iter().enumerate() {
-                states[si].update(&chunk.value_at(ai, idx))?;
-            }
-        }
-        Ok(cells)
     }
+    Ok(chunk.present_count() as u64)
 }

@@ -42,8 +42,8 @@ pub fn filter_with(
             super::batch::filter_columns(chunk, a.schema(), pred)
                 .map(|oc| (oc, chunk.present_count() as u64))
         },
-        |chunk, coords, idx| {
-            let mut rec = chunk.record_at(idx);
+        |chunk, coords, lane| {
+            let mut rec = chunk.record_at(lane);
             let ectx = EvalContext {
                 schema: a.schema(),
                 coords,
@@ -273,8 +273,8 @@ pub fn apply_with(
             super::batch::apply_columns(chunk, a.schema(), expr, &out_types)
                 .map(|oc| (oc, chunk.present_count() as u64))
         },
-        |chunk, coords, idx| {
-            let mut rec = chunk.record_at(idx);
+        |chunk, coords, lane| {
+            let mut rec = chunk.record_at(lane);
             let ectx = EvalContext {
                 schema: a.schema(),
                 coords,
@@ -316,21 +316,18 @@ pub fn project_with(a: &Array, keep: &[&str], ctx: &ExecContext) -> Result<Array
     )?;
     let out_types: Vec<AttrType> = out_schema.attrs().iter().map(|at| at.ty.clone()).collect();
     let chunks: Vec<&Chunk> = a.chunks().values().collect();
-    // Columnar path: projection on a dense chunk is a straight column
-    // subset, with no per-cell records at all.
+    // Projection is a straight column subset, with no per-cell records at
+    // all; it never declines, so it has no per-cell body.
     super::map_chunks(
         "project",
         &chunks,
         Array::new(out_schema),
         ctx,
         |chunk| {
-            super::batch::project_columns(chunk, &idxs, &out_types)
-                .map(|oc| (oc, chunk.present_count() as u64))
+            let oc = super::batch::project_columns(chunk, &idxs, &out_types);
+            Some((oc, chunk.present_count() as u64))
         },
-        |chunk, _, idx| {
-            let rec = chunk.record_at(idx);
-            Ok(Some(idxs.iter().map(|&i| rec[i].clone()).collect()))
-        },
+        |_, _, _| Err(Error::eval("project has no per-cell path")),
     )
 }
 

@@ -11,8 +11,9 @@
 //! * [`regrid`](mod@regrid) — the canonical user-extendable science operation (§2.3):
 //!   "science users wish to regrid arrays".
 //!
-//! Each operator has one kernel. Where chunks are dense the chunk-parallel
-//! kernels run column-at-a-time (the `batch` module), and
+//! Each operator has one kernel. The chunk-parallel kernels run
+//! column-at-a-time over every chunk's compact columns (the `batch`
+//! module), and
 //! [`sjoin`] picks its own path from the two schemas:
 //! co-aligned inputs join chunk by chunk as a column concatenation (the
 //! §2.1 array-over-tables advantage), every other join hashes
@@ -78,7 +79,7 @@ pub(crate) type GroupStates = BTreeMap<Coords, Vec<Box<dyn AggState>>>;
 /// Per chunk, `batch` runs first and returns the output chunk plus the
 /// cells it touched, or `None` to decline (the bail-out contract of the
 /// `batch` module). A declined chunk runs `cell` on every present cell
-/// `(chunk, coords, offset)`; `Some(record)` writes that record at the
+/// `(chunk, coords, lane)`; `Some(record)` writes that record at the
 /// cell's coordinates in the output, `None` leaves the cell empty. With a
 /// kernel span installed, the span records how many chunks took each path
 /// as `batch_chunks` and `fallback_chunks`.
@@ -102,9 +103,9 @@ where
             }
             let mut oc = Chunk::new(chunk.rect().clone(), &out_types);
             let mut cells = 0u64;
-            for (coords, idx) in chunk.iter_present() {
+            for (coords, lane) in chunk.iter_present() {
                 cells += 1;
-                if let Some(rec) = cell(chunk, &coords, idx)? {
+                if let Some(rec) = cell(chunk, &coords, lane)? {
                     oc.set_record(&coords, &rec)?;
                 }
             }
@@ -271,56 +272,49 @@ mod tests {
         assert_eq!(states[0].finalize(), Value::from(42i64));
     }
 
-    /// Integer `/`, `%` and negation wrap on both paths: a dense chunk runs
-    /// the batch evaluator, a sparse chunk with the same cells the per-cell
-    /// one, and neither panics or answers differently at `i64::MIN`.
+    /// Integer `/`, `%` and negation wrap on both paths: each expression
+    /// runs once as written (the batch evaluator) and once with its operand
+    /// behind an identity UDF, which sends every chunk down the per-cell
+    /// evaluator; neither panics or answers differently at `i64::MIN`.
     #[test]
-    fn int_overflow_wraps_alike_on_dense_and_sparse_chunks() {
+    fn int_overflow_wraps_alike_on_batch_and_per_cell_paths() {
         use crate::expr::{BinOp, Expr, UnaryOp};
-        use crate::schema::SchemaBuilder;
+        use crate::udf::ClosureFn;
         let vals = [i64::MIN, -7, 3, i64::MAX];
-        let dense = Array::int_1d("D", "v", &vals);
-        let schema = SchemaBuilder::new("S")
-            .attr("v", ScalarType::Int64)
-            .dim_chunked("x", 64, 64)
-            .build()
-            .expect("schema");
-        let mut sparse = Array::new(schema);
-        for (x, &v) in (1..).zip(&vals) {
-            sparse.set_cell(&[x], vec![Value::from(v)]).expect("set");
-        }
-        assert!(dense.chunks().values().all(Chunk::is_dense));
-        assert!(!sparse.chunks().values().any(Chunk::is_dense));
-        let v = || Box::new(Expr::attr("v"));
+        let a = Array::int_1d("D", "v", &vals);
+        let mut reg = Registry::with_builtins();
+        reg.register_scalar_fn(std::sync::Arc::new(ClosureFn::new("id", Some(1), |args| {
+            Ok(args[0].clone())
+        })))
+        .expect("register id");
         let minus_one = || Box::new(Expr::lit(-1i64));
-        for expr in [
-            Expr::Binary(BinOp::Div, v(), minus_one()),
-            Expr::Binary(BinOp::Mod, v(), minus_one()),
-            Expr::Unary(UnaryOp::Neg, v()),
-            Expr::Binary(BinOp::Mul, v(), minus_one()),
-        ] {
-            let on_dense =
-                content::apply(&dense, "w", &expr, ScalarType::Int64, None).expect("dense");
-            let on_sparse =
-                content::apply(&sparse, "w", &expr, ScalarType::Int64, None).expect("sparse");
+        let exprs = |v: &dyn Fn() -> Box<Expr>| {
+            [
+                Expr::Binary(BinOp::Div, v(), minus_one()),
+                Expr::Binary(BinOp::Mod, v(), minus_one()),
+                Expr::Unary(UnaryOp::Neg, v()),
+                Expr::Binary(BinOp::Mul, v(), minus_one()),
+            ]
+        };
+        let batched = exprs(&|| Box::new(Expr::attr("v")));
+        let per_cell = exprs(&|| Box::new(Expr::Func("id".into(), vec![Expr::attr("v")])));
+        for (eb, ec) in batched.iter().zip(&per_cell) {
+            let run = |e: &Expr| {
+                content::apply(&a, "w", e, ScalarType::Int64, Some(&reg)).expect("apply")
+            };
+            let (on_batch, on_cells) = (run(eb), run(ec));
             for x in 1..=vals.len() as i64 {
                 assert_eq!(
-                    on_dense.get_value(1, &[x]),
-                    on_sparse.get_value(1, &[x]),
-                    "{expr:?} at x={x}"
+                    on_batch.get_value(1, &[x]),
+                    on_cells.get_value(1, &[x]),
+                    "{eb:?} at x={x}"
                 );
             }
         }
         assert_eq!(
-            content::apply(
-                &sparse,
-                "w",
-                &Expr::Binary(BinOp::Div, v(), minus_one()),
-                ScalarType::Int64,
-                None
-            )
-            .expect("apply")
-            .get_value(1, &[1]),
+            content::apply(&a, "w", &per_cell[0], ScalarType::Int64, Some(&reg))
+                .expect("apply")
+                .get_value(1, &[1]),
             Some(Value::from(i64::MIN))
         );
     }

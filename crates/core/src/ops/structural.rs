@@ -12,6 +12,7 @@ use crate::registry::Registry;
 use crate::schema::{ArraySchema, AttributeDef, DimensionDef};
 use crate::value::{Record, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A condition on a single dimension's value.
 ///
@@ -181,8 +182,8 @@ pub fn subsample_with(
         .values()
         .filter(|chunk| pred.narrow_rect(a.schema(), chunk.rect()).is_some())
         .collect();
-    // Columnar path: a conjunctive dimension predicate over a dense chunk
-    // reduces to per-dimension lookup tables that pick the cells to visit.
+    // Columnar path: a conjunctive dimension predicate reduces to
+    // per-dimension lookup tables that pick the lanes to keep.
     // It declines `DimCond::Fn`, which can error and needs the registry.
     super::map_chunks(
         "subsample",
@@ -190,10 +191,10 @@ pub fn subsample_with(
         Array::from_arc(a.schema_arc()),
         ctx,
         |chunk| super::batch::subsample_columns(chunk, a.schema(), pred),
-        |chunk, coords, idx| {
+        |chunk, coords, lane| {
             Ok(pred
                 .matches(a.schema(), coords, registry)?
-                .then(|| chunk.record_at(idx)))
+                .then(|| chunk.record_at(lane)))
         },
     )
 }
@@ -385,9 +386,10 @@ pub fn sjoin_is_aligned(a: &ArraySchema, b: &ArraySchema, on: &[(&str, &str)]) -
         })
 }
 
-/// The positional path of [`sjoin`]: dense chunk pairs AND their presence
-/// bitmaps and concatenate their columns; a pair with a sparse chunk
-/// probes the fuller chunk once per cell of the emptier one.
+/// The positional path of [`sjoin`]: each pair of chunks at one origin
+/// joins on the cells present in both. Equal presence shares the offsets
+/// and concatenates the columns; otherwise a merge of the two sorted offset
+/// lists picks the common lanes and both sides' columns are gathered.
 fn sjoin_chunks(a: &Array, b: &Array, schema: ArraySchema) -> Result<Array> {
     let attr_types: Vec<_> = schema.attrs().iter().map(|x| x.ty.clone()).collect();
     let mut out = Array::new(schema);
@@ -395,41 +397,38 @@ fn sjoin_chunks(a: &Array, b: &Array, schema: ArraySchema) -> Result<Array> {
         let Some(cb) = b.chunks().get(origin) else {
             continue;
         };
-        match (
-            ca.columns(),
-            ca.present_bitmap(),
-            cb.columns(),
-            cb.present_bitmap(),
-        ) {
-            (Some(cols_a), Some(pa), Some(cols_b), Some(pb)) => {
-                let mut present = pa.clone();
-                present.intersect_with(pb);
-                if present.none() {
-                    continue;
-                }
-                let columns = cols_a.iter().chain(cols_b).cloned().collect();
-                out.insert_chunk(Chunk::from_parts(
-                    ca.rect().clone(),
-                    attr_types.clone(),
-                    present,
-                    columns,
-                )?);
-            }
-            _ => {
-                let (small, big) = if ca.present_count() <= cb.present_count() {
-                    (ca, cb)
-                } else {
-                    (cb, ca)
-                };
-                for (coords, _) in small.iter_present() {
-                    if !big.cell_present(&coords) {
-                        continue;
+        let joined = if ca.offsets() == cb.offsets() {
+            let columns = ca.columns().iter().chain(cb.columns()).cloned().collect();
+            ca.with_columns(attr_types.clone(), columns)
+        } else {
+            let (mut la, mut lb) = (Vec::new(), Vec::new());
+            let (oa, ob) = (ca.offsets(), cb.offsets());
+            let (mut i, mut j) = (0, 0);
+            while i < oa.len() && j < ob.len() {
+                match oa[i].cmp(&ob[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        la.push(i);
+                        lb.push(j);
+                        i += 1;
+                        j += 1;
                     }
-                    let mut rec = ca.record_at(ca.offset_of(&coords));
-                    rec.extend(cb.record_at(cb.offset_of(&coords)));
-                    out.set_cell(&coords, rec)?;
                 }
             }
+            let columns = (ca.columns().iter().map(|c| c.gather(&la)))
+                .chain(cb.columns().iter().map(|c| c.gather(&lb)))
+                .collect();
+            let offsets = la.iter().map(|&l| oa[l]).collect();
+            Chunk::from_parts(
+                ca.rect().clone(),
+                attr_types.clone(),
+                Arc::new(offsets),
+                columns,
+            )?
+        };
+        if !joined.is_empty() {
+            out.insert_chunk(joined);
         }
     }
     Ok(out)
@@ -826,7 +825,7 @@ mod tests {
             Some(vec![Value::from(202.0), Value::from(202.0)])
         );
 
-        // Sparse chunks: probe cell by cell.
+        // Sparse chunks of unequal presence: merge the offset lists.
         let mut a = Array::new(dense_ij(8, 8).schema().renamed("Sp"));
         let mut b = Array::new(dense_ij(8, 8).schema().renamed("Sp2"));
         a.set_cell(&[1, 1], record([Value::from(1.0)])).unwrap();

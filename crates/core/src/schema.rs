@@ -174,6 +174,21 @@ impl ArraySchema {
                 }
             }
         }
+        // A chunk addresses its cells by `u32` row-major offsets.
+        let mut chunk_cells = 1u64;
+        for d in &dims {
+            let side = d.upper.map_or(d.chunk_len, |u| d.chunk_len.min(u));
+            chunk_cells = match chunk_cells.checked_mul(side.max(0) as u64) {
+                Some(cells) if side >= 1 && cells <= u64::from(u32::MAX) => cells,
+                _ => {
+                    return Err(Error::schema(format!(
+                        "array '{name}': chunk stride {side} of dimension '{}' makes a chunk \
+                         of more than u32::MAX cells",
+                        d.name
+                    )))
+                }
+            };
+        }
         Ok(ArraySchema {
             name,
             attrs,
@@ -570,6 +585,28 @@ mod tests {
             .build()
             .unwrap();
         assert!(s.to_string().contains("results = array<results>"));
+    }
+
+    #[test]
+    fn chunks_past_the_u32_cell_limit_are_rejected() {
+        let dims = |len: i64, n: usize| {
+            (0..n)
+                .map(|d| DimensionDef::unbounded(format!("d{d}")).with_chunk(len))
+                .collect::<Vec<_>>()
+        };
+        let attrs = || vec![AttributeDef::scalar("v", ScalarType::Int64)];
+        // 64^5 = 2^30 cells fit; 64^6 = 2^36 and 2^16 × 2^16 = 2^32 do not.
+        assert!(ArraySchema::new("A", attrs(), dims(64, 5)).is_ok());
+        for (len, n) in [(64, 6), (1 << 16, 2)] {
+            assert!(matches!(
+                ArraySchema::new("A", attrs(), dims(len, n)),
+                Err(Error::Schema(_))
+            ));
+        }
+        // A bounded dimension's chunk is clamped to its bound first.
+        let mut clamped = dims(1 << 20, 2);
+        clamped[0].upper = Some(8);
+        assert!(ArraySchema::new("A", attrs(), clamped).is_ok());
     }
 
     #[test]

@@ -201,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn image_is_dense_without_clouds() {
+    fn cloudless_image_fills_every_pixel() {
         let spec = small_spec();
         let img = render_epoch(&spec, &generate_sources(&spec), 0);
         assert_eq!(img.cell_count(), 64 * 64);

@@ -81,11 +81,19 @@ pub fn merge_pass(mgr: &mut StorageManager, factor: i64) -> Result<MergeStats> {
             .iter()
             .skip(1)
             .fold(chunks[0].rect().clone(), |acc, c| acc.union(c.rect()));
-        let mut merged = Chunk::new(rect, chunks[0].attr_types());
+        // Every member cell in the merged rectangle's row-major order, so
+        // each write appends a lane. The sort is stable: on a cell two
+        // members share, the later member is written last and wins.
+        let mut cells = Vec::new();
         for chunk in &chunks {
-            for (coords, idx) in chunk.iter_present() {
-                merged.set_record(&coords, &chunk.record_at(idx))?;
+            for (coords, lane) in chunk.iter_present() {
+                cells.push((rect.linearize(&coords), chunk, lane));
             }
+        }
+        cells.sort_by_key(|&(offset, _, _)| offset);
+        let mut merged = Chunk::new(rect.clone(), chunks[0].attr_types());
+        for (offset, chunk, lane) in cells {
+            merged.set_record(&rect.delinearize(offset), &chunk.record_at(lane))?;
         }
         mgr.write_chunk(&merged)?;
         for &k in &keys {

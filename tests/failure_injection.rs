@@ -9,8 +9,9 @@ use scidb::core::rng::SmallRng;
 use scidb::insitu::{
     write_h5, write_netcdf, write_sddf, DatasetSpec, H5LiteReader, NetcdfReader, SddfReader,
 };
+use scidb::storage::compress::{encode_i64s, put_varint, zigzag};
 use scidb::storage::wal::{self, Record};
-use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
+use scidb::storage::{deserialize_chunk, serialize_chunk, Codec, CodecPolicy};
 use scidb::{Array, Error, ScalarType, SchemaBuilder, Value};
 
 include!("support/hostile_images.rs");
@@ -60,6 +61,74 @@ fn truncated_buckets_error_at_every_length() {
             );
         }
     }
+}
+
+/// A hand-built bucket with no attributes: the rectangle `[low, high]`
+/// and a raw offset list, written byte by byte in the bucket layout.
+fn hand_built_bucket(low: &[i64], high: &[i64], offsets: &[i64]) -> Vec<u8> {
+    let mut b = b"SBKT".to_vec();
+    b.push(1); // version
+    put_varint(&mut b, low.len() as u64);
+    for (&l, &h) in low.iter().zip(high) {
+        put_varint(&mut b, zigzag(l));
+        put_varint(&mut b, zigzag(h));
+    }
+    let section = encode_i64s(offsets, Codec::Raw).unwrap();
+    b.push(Codec::Raw.tag());
+    put_varint(&mut b, section.len() as u64);
+    b.extend_from_slice(&section);
+    put_varint(&mut b, 0); // attribute count
+    b
+}
+
+fn assert_storage_error(what: &str, bucket: &[u8]) {
+    match deserialize_chunk(bucket) {
+        Err(Error::Storage(_)) => {}
+        other => panic!("{what}: expected a storage error, got {other:?}"),
+    }
+}
+
+/// A rectangle whose side overflows `i64` is a storage error, not an
+/// arithmetic panic.
+#[test]
+fn bucket_with_an_overflowing_side_is_a_storage_error() {
+    assert_storage_error(
+        "[i64::MIN, i64::MAX]",
+        &hand_built_bucket(&[i64::MIN], &[i64::MAX], &[]),
+    );
+}
+
+/// A rectangle of 2^120 cells is a storage error, not a wrapped or
+/// panicking volume; so is any chunk past the `u32` cell limit.
+#[test]
+fn bucket_past_the_cell_limit_is_a_storage_error() {
+    let side = 1i64 << 40;
+    assert_storage_error(
+        "2^40 x 2^40 x 2^40",
+        &hand_built_bucket(&[1, 1, 1], &[side, side, side], &[]),
+    );
+    assert_storage_error(
+        "2^32 cells",
+        &hand_built_bucket(&[1, 1], &[1 << 16, 1 << 16], &[]),
+    );
+}
+
+#[test]
+fn bucket_with_descending_offsets_is_a_storage_error() {
+    let ascending = deserialize_chunk(&hand_built_bucket(&[1, 1], &[4, 4], &[0, 2])).unwrap();
+    assert_eq!(ascending.offsets(), &[0, 2]);
+    assert_storage_error(
+        "offsets [2, 0]",
+        &hand_built_bucket(&[1, 1], &[4, 4], &[2, 0]),
+    );
+}
+
+#[test]
+fn bucket_with_a_repeated_offset_is_a_storage_error() {
+    assert_storage_error(
+        "offsets [1, 1]",
+        &hand_built_bucket(&[1, 1], &[4, 4], &[1, 1]),
+    );
 }
 
 /// A byte change anywhere in a bucket either errors or decodes to *some*

@@ -224,8 +224,9 @@ fn chunk_paths(kernel: impl FnOnce(&ExecContext) -> Array) -> (u64, u64) {
     (count("batch_chunks"), count("fallback_chunks"))
 }
 
-/// Every chunk-rewriting kernel takes its columnar path on dense `Float64`
-/// chunks, and a UDF predicate sends every chunk down the per-cell path.
+/// Every chunk-rewriting kernel takes its columnar path on `Float64`
+/// chunks, full or sparse, and a UDF predicate sends every chunk down the
+/// per-cell path.
 #[test]
 fn dense_chunks_take_the_batch_path() {
     let schema = SchemaBuilder::new("D")
@@ -234,21 +235,34 @@ fn dense_chunks_take_the_batch_path() {
         .dim_chunked("d1", 8, 4)
         .build()
         .unwrap();
-    let mut a = Array::new(schema);
-    a.fill_with(|c| vec![Value::from((c[0] * 10 + c[1]) as f64 / 3.0)])
+    let mut full = Array::new(schema.clone());
+    full.fill_with(|c| vec![Value::from((c[0] * 10 + c[1]) as f64 / 3.0)])
         .unwrap();
-    assert!(a.chunks().values().all(|c| c.is_dense()));
-    let n = a.chunks().len() as u64;
-    let reg = Registry::with_builtins();
-    for op in [
-        ParOp::Filter(5.0),
-        ParOp::Subsample(8),
-        ParOp::Apply,
-        ParOp::Project,
-    ] {
-        let paths = chunk_paths(|ctx| run_op(&a, &op, &reg, ctx));
-        assert_eq!(paths, (n, 0), "{op:?} fell back on dense chunks");
+    // Every 7th cell: 9 or 10 of 64, 2 or 3 per 16-cell chunk.
+    let mut sparse = Array::new(schema);
+    for (k, (coords, rec)) in full.cells().enumerate() {
+        if k % 7 == 0 {
+            sparse.set_cell(&coords, rec).unwrap();
+        }
     }
-    let paths = chunk_paths(|ctx| run_op(&a, &ParOp::UdfFilter, &reg, ctx));
-    assert_eq!(paths, (0, n), "a UDF predicate must take the per-cell path");
+    assert!(sparse
+        .chunks()
+        .values()
+        .all(|c| c.present_count() * 4 < c.capacity()));
+    let reg = Registry::with_builtins();
+    for a in [&full, &sparse] {
+        let n = a.chunks().len() as u64;
+        assert_eq!(n, 4);
+        for op in [
+            ParOp::Filter(5.0),
+            ParOp::Subsample(8),
+            ParOp::Apply,
+            ParOp::Project,
+        ] {
+            let paths = chunk_paths(|ctx| run_op(a, &op, &reg, ctx));
+            assert_eq!(paths, (n, 0), "{op:?} fell back on {}", a.cell_count());
+        }
+        let paths = chunk_paths(|ctx| run_op(a, &ParOp::UdfFilter, &reg, ctx));
+        assert_eq!(paths, (0, n), "a UDF predicate must take the per-cell path");
+    }
 }

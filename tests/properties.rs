@@ -27,6 +27,7 @@ use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
 use scidb::{Array, ScalarType, SchemaBuilder, Uncertain, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// `n` draws of `f`, with `n` drawn from `len`.
 fn vec_of<T>(
@@ -115,59 +116,89 @@ fn byte_codecs_roundtrip() {
 
 // ---- columnar ↔ legacy construction equivalence ---------------------------
 
-/// The same cell set built two ways — row-at-a-time `set_record` (legacy,
-/// densifies on its own schedule) and direct columnar `from_parts` — must
-/// compare equal, serialize to identical bucket bytes under every policy,
-/// and round-trip through the bucket codec.
+/// The same cell set built two ways — cell writes in a drawn order, with
+/// overwrites and `clear_cell`s (each new cell appends or inserts a lane),
+/// and direct columnar `from_parts` from a `BTreeMap` model of the final
+/// state — must compare equal, present the model's cells in its row-major
+/// order, serialize to identical bucket bytes under every policy, and
+/// round-trip through the bucket codec.
 #[test]
 fn columnar_construction_equals_legacy_cell_writes() {
+    enum Op {
+        Write(usize, Option<i64>, Option<f64>),
+        Clear(usize),
+    }
     for seed in 0..256u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let len = rng.gen_range(1..=72usize);
-        // Duplicate offsets resolve up front so both constructions see the
-        // identical final cell state.
-        let mut cells: BTreeMap<usize, (Option<i64>, Option<f64>)> = BTreeMap::new();
-        for _ in 0..rng.gen_range(1..72usize) {
-            let off = rng.gen_range(0..72usize) % len;
+        let draw = |rng: &mut SmallRng, off: usize| {
             let iv = rng.gen_bool(0.5).then(|| rng.next_u64() as i64);
             let fv = rng.gen_bool(0.5).then(|| rng.gen_range(-1.0e300..1.0e300));
-            cells.insert(off, (iv, fv));
+            Op::Write(off, iv, fv)
+        };
+        // A drawn subset of the cells, then overwrites and clears at drawn
+        // cells, all in one drawn permutation.
+        let mut ops: Vec<Op> = Vec::new();
+        for off in 0..len {
+            if rng.gen_bool(0.6) {
+                ops.push(draw(&mut rng, off));
+            }
         }
+        for _ in 0..rng.gen_range(0..len) {
+            let off = rng.gen_range(0..len);
+            if rng.gen_bool(0.4) {
+                ops.push(Op::Clear(off));
+            } else {
+                ops.push(draw(&mut rng, off));
+            }
+        }
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, rng.gen_range(0..=i));
+        }
+
         let rect = HyperRect::new(vec![1], vec![len as i64]).unwrap();
         let types = vec![
             AttrType::Scalar(ScalarType::Int64),
             AttrType::Scalar(ScalarType::Float64),
         ];
-
+        let mut cells: BTreeMap<usize, (Option<i64>, Option<f64>)> = BTreeMap::new();
         let mut legacy = Chunk::new(rect.clone(), &types);
-        for (&off, &(iv, fv)) in &cells {
-            let rec = vec![
-                iv.map(Value::from).unwrap_or(Value::Null),
-                fv.map(Value::from).unwrap_or(Value::Null),
-            ];
-            legacy.set_record(&rect.delinearize(off), &rec).unwrap();
+        for op in &ops {
+            match *op {
+                Op::Write(off, iv, fv) => {
+                    let rec = vec![
+                        iv.map(Value::from).unwrap_or(Value::Null),
+                        fv.map(Value::from).unwrap_or(Value::Null),
+                    ];
+                    legacy.set_record(&rect.delinearize(off), &rec).unwrap();
+                    cells.insert(off, (iv, fv));
+                }
+                Op::Clear(off) => {
+                    legacy.clear_cell(&rect.delinearize(off));
+                    cells.remove(&off);
+                }
+            }
         }
 
-        let mut present = BitVec::filled(len, false);
-        let mut idata = vec![0i64; len];
-        let mut inulls = BitVec::filled(len, true);
-        let mut fdata = vec![0.0f64; len];
-        let mut fnulls = BitVec::filled(len, true);
-        for (&off, &(iv, fv)) in &cells {
-            present.set(off, true);
+        let n = cells.len();
+        let mut idata = vec![0i64; n];
+        let mut inulls = BitVec::filled(n, true);
+        let mut fdata = vec![0.0f64; n];
+        let mut fnulls = BitVec::filled(n, true);
+        for (lane, &(iv, fv)) in cells.values().enumerate() {
             if let Some(v) = iv {
-                idata[off] = v;
-                inulls.set(off, false);
+                idata[lane] = v;
+                inulls.set(lane, false);
             }
             if let Some(v) = fv {
-                fdata[off] = v;
-                fnulls.set(off, false);
+                fdata[lane] = v;
+                fnulls.set(lane, false);
             }
         }
         let columnar = Chunk::from_parts(
             rect.clone(),
             types.clone(),
-            present,
+            Arc::new(cells.keys().map(|&off| off as u32).collect()),
             vec![
                 Column::Int64 {
                     data: idata,
@@ -182,10 +213,13 @@ fn columnar_construction_equals_legacy_cell_writes() {
         .unwrap();
 
         assert_eq!(legacy, columnar, "seed {seed}");
-        assert_eq!(legacy.present_count(), cells.len(), "seed {seed}");
+        assert_eq!(legacy.present_count(), n, "seed {seed}");
+        let model_order: Vec<_> = cells.keys().map(|&off| rect.delinearize(off)).collect();
+        let order: Vec<_> = legacy.iter_present().map(|(coords, _)| coords).collect();
+        assert_eq!(order, model_order, "seed {seed}: iter_present order");
 
-        // The representation never leaks into the stored bytes, and the
-        // bytes come back as the same chunk.
+        // The write order never leaks into the stored bytes, and the bytes
+        // come back as the same chunk.
         for policy in [
             CodecPolicy::default_policy(),
             CodecPolicy::raw(),
@@ -197,11 +231,6 @@ fn columnar_construction_equals_legacy_cell_writes() {
             let back = deserialize_chunk(&a).unwrap();
             assert_eq!(back, columnar, "seed {seed}: {policy:?}");
         }
-
-        // Forcing the legacy chunk dense is also invisible.
-        let mut densified = legacy.clone();
-        densified.densify().unwrap();
-        assert_eq!(densified, columnar, "seed {seed}: densify");
     }
 }
 
