@@ -1,8 +1,9 @@
 //! The four array-engine backends: serial, parallel, grid, durable.
 //!
-//! All four run the identical logical pipeline; they differ only in
-//! *where* the input array comes from and *how many threads* execute the
-//! chunk-parallel kernels:
+//! All four run the identical logical pipeline; they differ in *where*
+//! the input array comes from, *how many threads* execute the
+//! chunk-parallel kernels, and whether the pipeline runs as Rust calls or
+//! as AQL:
 //!
 //! - serial: [`ExecContext::serial`] over the locally built input;
 //! - parallel: [`ExecContext::with_threads`]`(4)` over the same input;
@@ -12,11 +13,13 @@
 //!   `query_region`, and then piped through the serial executor;
 //! - durable: the input is written into an on-disk [`Database`]
 //!   (buffer pool + WAL), the process handle is dropped, and the store
-//!   is re-opened so the pipeline runs over state recovered from the
-//!   log — byte-identity here proves recovery is lossless, not merely
-//!   crash-safe.
+//!   is re-opened so the pipeline runs, as one AQL statement, over state
+//!   recovered from the log — byte-identity here proves recovery is
+//!   lossless, not merely crash-safe, and that a scan which reads only
+//!   the box its subsample keeps answers as a full read would.
 
 use crate::case::{Case, Cmp, OpSpec};
+use crate::remote::pipeline_aql;
 use scidb_core::array::Array;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::ExecContext;
@@ -32,7 +35,7 @@ use scidb_grid::cluster::Cluster;
 use scidb_grid::fault::FaultPlan;
 use scidb_grid::partition::PartitionScheme;
 use scidb_grid::replication::ReplicatedPlacement;
-use scidb_query::{Database, StmtResult};
+use scidb_query::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Kernel perturbations for the shrinker demo: each variant intentionally
@@ -207,9 +210,10 @@ static DURABLE_RUN: AtomicU64 = AtomicU64::new(0);
 
 /// Durable backend: writes the input into an on-disk [`Database`]
 /// (page-based buffer pool + WAL), drops the handle, re-opens the
-/// directory so the catalog is rebuilt purely from the log, reads the
-/// array back with `scan`, and runs the pipeline serially over the
-/// recovered state.
+/// directory so the catalog is rebuilt purely from the log, and runs the
+/// pipeline over the recovered `conf` as one AQL statement (translated as
+/// the remote backend translates it), so the executor's disk-read
+/// pushdown is inside the contract.
 ///
 /// Fully bounded, non-nested inputs take the disk-backed path
 /// (`put_array_on_disk`: chunks through the storage manager, physical
@@ -234,22 +238,8 @@ pub fn run_durable(case: &Case, registry: &Registry) -> Result<Array> {
                 db.put_array("conf", input.clone())?;
             }
         }
-        let mut db = Database::open(&dir)?;
-        let readback = match db.run("scan(conf)")?.pop() {
-            Some(StmtResult::Array(a)) => a,
-            other => {
-                return Err(Error::storage(format!(
-                    "scan(conf) did not return an array: {other:?}"
-                )))
-            }
-        };
-        run_ops(
-            &readback,
-            &case.ops,
-            &ExecContext::serial(),
-            registry,
-            Perturb::None,
-        )
+        let statement = pipeline_aql(case, input, "conf".to_string(), registry)?;
+        Database::open(&dir)?.query(&statement)
     })();
     let _ = std::fs::remove_dir_all(&dir);
     run

@@ -15,8 +15,8 @@
 //! 3. a replicated grid cluster, optionally under a benign fault plan
 //!    ([`backends::run_grid`]),
 //! 4. a durable on-disk database — the input written through the buffer
-//!    pool and WAL, re-opened from the log, and piped through the serial
-//!    executor ([`backends::run_durable`]),
+//!    pool and WAL, re-opened from the log, and queried with the
+//!    pipeline as one AQL statement ([`backends::run_durable`]),
 //! 5. a remote engine behind the `scidb-server` wire protocol — the
 //!    pipeline rendered to canonical AQL and executed over a loopback
 //!    TCP connection ([`remote::run_remote`]),

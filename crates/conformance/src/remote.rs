@@ -158,7 +158,18 @@ pub fn run_remote(case: &Case, registry: &Registry) -> Result<Array> {
     debug_assert!(!scidb_query::is_system_array(&name));
     let mut client = Client::connect(engine.server.addr(), "")?;
     client.put_array(&name, &input)?;
+    client.query(&pipeline_aql(case, input, name, registry)?)
+}
 
+/// The case's pipeline as one canonical-AQL statement over `scan(name)`,
+/// where `name` holds `input`. Each step is translated against the serial
+/// evaluation of the steps before it (the shadow).
+pub(crate) fn pipeline_aql(
+    case: &Case,
+    input: Array,
+    name: String,
+    registry: &Registry,
+) -> Result<String> {
     let ctx = ExecContext::serial();
     let mut shadow = input;
     let mut aexpr = AExpr::Scan(name);
@@ -172,7 +183,7 @@ pub fn run_remote(case: &Case, registry: &Registry) -> Result<Array> {
             Perturb::None,
         )?;
     }
-    client.query(&aexpr.to_string())
+    Ok(aexpr.to_string())
 }
 
 #[cfg(test)]

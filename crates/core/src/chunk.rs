@@ -421,6 +421,76 @@ impl Column {
         }
     }
 
+    /// This column's lanes followed by `other`'s, the two-source column
+    /// that [`Column::gather`] then picks from. Errors when the columns
+    /// differ in type.
+    fn concat(&self, other: &Column) -> Result<Column> {
+        let bits = |a: &BitVec, b: &BitVec| {
+            let mut out = a.clone();
+            for i in 0..b.len() {
+                out.push(b.get(i));
+            }
+            out
+        };
+        Ok(match (self, other) {
+            (Column::Int64 { data: a, nulls: na }, Column::Int64 { data: b, nulls: nb }) => {
+                Column::Int64 {
+                    data: [a.as_slice(), b].concat(),
+                    nulls: bits(na, nb),
+                }
+            }
+            (Column::Float64 { data: a, nulls: na }, Column::Float64 { data: b, nulls: nb }) => {
+                Column::Float64 {
+                    data: [a.as_slice(), b].concat(),
+                    nulls: bits(na, nb),
+                }
+            }
+            (Column::Bool { data: a, nulls: na }, Column::Bool { data: b, nulls: nb }) => {
+                Column::Bool {
+                    data: [a.as_slice(), b].concat(),
+                    nulls: bits(na, nb),
+                }
+            }
+            (Column::Str { data: a, nulls: na }, Column::Str { data: b, nulls: nb }) => {
+                Column::Str {
+                    data: [a.as_slice(), b].concat(),
+                    nulls: bits(na, nb),
+                }
+            }
+            (
+                Column::Uncertain {
+                    means: ma,
+                    sigmas: sa,
+                    nulls: na,
+                },
+                Column::Uncertain {
+                    means: mb,
+                    sigmas: sb,
+                    nulls: nb,
+                },
+            ) => Column::Uncertain {
+                means: [ma.as_slice(), mb].concat(),
+                sigmas: if sa == sb && sa.is_constant() {
+                    sa.clone()
+                } else {
+                    let a = (0..ma.len()).map(|i| sa.get(i));
+                    SigmaStore::PerCell(a.chain((0..mb.len()).map(|i| sb.get(i))).collect())
+                },
+                nulls: bits(na, nb),
+            },
+            (Column::Nested { data: a }, Column::Nested { data: b }) => Column::Nested {
+                data: [a.as_slice(), b].concat(),
+            },
+            (a, b) => {
+                return Err(Error::schema(format!(
+                    "cannot combine a {} column with a {} column",
+                    a.type_name(),
+                    b.type_name()
+                )))
+            }
+        })
+    }
+
     /// Marks every set bit of `mask` NULL — one word-level bitmap union
     /// for scalar columns. The batch filter's selection-vector write-back.
     pub fn null_out(&mut self, mask: &BitVec) {
@@ -560,6 +630,113 @@ impl Chunk {
             offsets: Arc::new(lanes.iter().map(|&l| self.offsets[l]).collect()),
             columns: self.columns.iter().map(|c| c.gather(lanes)).collect(),
         }
+    }
+
+    /// The lanes of this chunk whose cells lie inside both `keep` and
+    /// `target`, re-offset into a chunk covering `target`: what writing
+    /// each such cell into an empty chunk of `target` would build, done on
+    /// offsets and columns alone. A region read clips a bucket with it, and
+    /// a merged bucket splits into schema chunks. When `target` is this
+    /// chunk's rectangle and every present cell is kept, the result shares
+    /// this chunk's offsets. `target` holds at most `u32::MAX` cells, as
+    /// every schema chunk does.
+    pub fn project_onto(&self, keep: &HyperRect, target: &HyperRect) -> Chunk {
+        let clip = self
+            .rect
+            .intersection(keep)
+            .and_then(|r| r.intersection(target));
+        let Some(clip) = clip else {
+            return Chunk::new(target.clone(), &self.attr_types);
+        };
+        if *target == self.rect && clip == self.rect {
+            return self.clone();
+        }
+        // Walk the rows of `clip` (all dimensions but the last) in
+        // row-major order. A row is one contiguous offset run in both
+        // rectangles, so its lanes are a range of the sorted offsets and
+        // the target offsets come out increasing.
+        let last = clip.rank() - 1;
+        let run = clip.len(last) as usize;
+        let mut lanes = Vec::new();
+        let mut offsets = Vec::new();
+        let mut row = clip.low.clone();
+        let mut from = 0;
+        'rows: loop {
+            let src = self.rect.linearize(&row);
+            let dst = target.linearize(&row);
+            let lo = from + self.offsets[from..].partition_point(|&o| (o as usize) < src);
+            let hi = lo + self.offsets[lo..].partition_point(|&o| (o as usize) < src + run);
+            for (lane, &o) in (lo..hi).zip(&self.offsets[lo..hi]) {
+                lanes.push(lane);
+                offsets.push((dst + (o as usize - src)) as u32);
+            }
+            from = hi;
+            // The next row: carry leftwards through dimensions `..last`.
+            let mut d = last;
+            loop {
+                if d == 0 {
+                    break 'rows;
+                }
+                d -= 1;
+                row[d] += 1;
+                if row[d] <= clip.high[d] {
+                    break;
+                }
+                row[d] = clip.low[d];
+            }
+        }
+        if *target == self.rect && lanes.len() == self.offsets.len() {
+            return self.clone();
+        }
+        Chunk {
+            rect: target.clone(),
+            attr_types: self.attr_types.clone(),
+            offsets: Arc::new(offsets),
+            columns: self.columns.iter().map(|c| c.gather(&lanes)).collect(),
+        }
+    }
+
+    /// This chunk with `newer` laid over it: the union of both chunks'
+    /// present cells, a merge of their sorted offsets in which `newer`
+    /// wins a shared offset. Both chunks must cover the same rectangle
+    /// with the same attribute types.
+    pub fn overlay(&self, newer: &Chunk) -> Result<Chunk> {
+        if self.rect != newer.rect || self.attr_types != newer.attr_types {
+            return Err(Error::schema(
+                "overlay of chunks with different rectangles or attribute types",
+            ));
+        }
+        let (old, new) = (&self.offsets, &newer.offsets);
+        let mut offsets = Vec::with_capacity(old.len() + new.len());
+        // Lanes of the concatenated columns: old lanes, then new ones.
+        let mut picks = Vec::with_capacity(old.len() + new.len());
+        let (mut i, mut j) = (0, 0);
+        while i < old.len() || j < new.len() {
+            if j == new.len() || (i < old.len() && old[i] < new[j]) {
+                offsets.push(old[i]);
+                picks.push(i);
+                i += 1;
+            } else {
+                if i < old.len() && old[i] == new[j] {
+                    i += 1;
+                }
+                offsets.push(new[j]);
+                picks.push(old.len() + j);
+                j += 1;
+            }
+        }
+        let columns = self
+            .columns
+            .iter()
+            .zip(&newer.columns)
+            .map(|(a, b)| Ok(a.concat(b)?.gather(&picks)))
+            .collect::<Result<_>>()?;
+        Ok(Chunk {
+            rect: self.rect.clone(),
+            attr_types: self.attr_types.clone(),
+            offsets: Arc::new(offsets),
+            columns,
+        })
     }
 
     /// The chunk's covering rectangle.

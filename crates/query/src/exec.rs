@@ -1338,6 +1338,47 @@ mod tests {
     }
 
     #[test]
+    fn explain_analyze_renders_a_pushed_scan() {
+        // A 4×4 array in 2×2 chunks: the box [2..3, 1..2] meets two of the
+        // four buckets and keeps half of each.
+        let schema = scidb_core::schema::SchemaBuilder::new("Q")
+            .attr("v", ScalarType::Int64)
+            .dim_chunked("X", 4, 2)
+            .dim_chunked("Y", 4, 2)
+            .build()
+            .unwrap();
+        let mut arr = Array::new(schema);
+        arr.fill_with(|c| vec![Value::from(c[0] * 10 + c[1])])
+            .unwrap();
+        let mut db = Database::with_threads(1);
+        db.put_array_on_disk("Q", &arr).unwrap();
+        let mut s = db.session();
+        s.run("explain analyze aggregate(subsample(scan(Q), X >= 2 and X <= 3 and Y <= 2), {}, sum(v))")
+            .unwrap();
+        let bytes_read = match &*db.array("Q").unwrap() {
+            StoredArray::OnDisk(mgr) => {
+                let region = HyperRect::new(vec![2, 1], vec![3, 2]).unwrap();
+                let (_, stats) = mgr.read_region(&region, ReadOptions::serial()).unwrap();
+                stats.bytes_read
+            }
+            other => panic!("expected on-disk, got {other:?}"),
+        };
+        let expected = format!(
+            "statement [query] aql=\"aggregate(subsample(scan(Q), (((X >= 2) and (X <= 3)) and (Y <= 2))), {{}}, sum(v))\"\n\
+             └─ aggregate [query] chunks_out=1 cells_out=1\n   \
+             └─ subsample [query] batch_chunks=2 fallback_chunks=0 chunks_out=2 cells_out=4\n      \
+             └─ scan [query] array=\"Q\" region=\"[2..3, 1..2]\" pushed=true chunks_out=2 cells_out=4\n         \
+             └─ read_region [storage] buckets=2 bytes_read={bytes_read} \
+             cells_decoded=8 cells_returned=4 parallel=false\n"
+        );
+        let got = s.last_trace().unwrap().render_tree(&RenderOptions {
+            times: false,
+            events: false,
+        });
+        assert_eq!(got, expected);
+    }
+
+    #[test]
     fn explain_analyze_unwraps_nesting_and_propagates_errors() {
         let mut s = db_with_h().session();
         let r = s

@@ -9,8 +9,9 @@ use crate::plan;
 use scidb_core::array::Array;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::ExecContext;
+use scidb_core::expr::Expr;
 use scidb_core::geometry::HyperRect;
-use scidb_core::ops::{self, AggInput};
+use scidb_core::ops::{self, AggInput, DimCond, DimPredicate};
 use scidb_core::schema::ArraySchema;
 use scidb_obs::{Span, LAYER_QUERY};
 use scidb_storage::{ReadOptions, StorageManager};
@@ -24,12 +25,25 @@ pub(super) struct Evaluator<'a> {
     pub(super) core: &'a DbCore,
 }
 
-impl Evaluator<'_> {
+impl<'a> Evaluator<'a> {
     /// Evaluates an (optimized) array expression as a child span of
-    /// `parent`, recording output chunk/cell counts (or the error).
+    /// `parent`.
     pub(super) fn eval_node(&self, parent: &Span, expr: AExpr) -> Result<Array> {
-        let span = parent.child(plan::node_name(&expr), LAYER_QUERY);
-        let result = self.eval_kernel(&span, expr);
+        self.traced(parent, plan::node_name(&expr), |span| {
+            self.eval_kernel(span, expr)
+        })
+    }
+
+    /// Runs `f` inside a new child span `name` of `parent`, recording
+    /// output chunk/cell counts (or the error).
+    fn traced(
+        &self,
+        parent: &Span,
+        name: &str,
+        f: impl FnOnce(&Span) -> Result<Array>,
+    ) -> Result<Array> {
+        let span = parent.child(name, LAYER_QUERY);
+        let result = f(&span);
         match &result {
             Ok(a) => {
                 span.set_attr("chunks_out", a.chunks().len() as u64);
@@ -60,20 +74,23 @@ impl Evaluator<'_> {
                     StoredArray::Plain(a) => Ok(a.clone()),
                     StoredArray::Updatable(u) => Ok(u.array().clone()),
                     StoredArray::OnDisk(mgr) => {
-                        let region = full_domain(mgr.schema())?;
-                        let opts = if self.ctx.threads() == 1 {
-                            ReadOptions::serial()
-                        } else {
-                            ReadOptions::parallel_with(self.ctx.threads())
-                        };
-                        let (a, _stats) = mgr.read_region_traced(&region, opts, span)?;
-                        Ok(a)
+                        self.read_disk(mgr, &full_domain(mgr.schema())?, span)
                     }
                 }
             }
             AExpr::Subsample { input, pred } => {
-                let input = self.eval_node(span, *input)?;
-                let dp = plan::expr_to_dim_predicate(&pred)?;
+                let pushed = self.disk_scan(&input).and_then(|(name, mgr, full)| {
+                    let dp = pushable(&pred, mgr.schema())?;
+                    let keep = dp.narrow_rect(mgr.schema(), &full);
+                    Some((name, mgr, keep, dp))
+                });
+                let (input, dp) = match pushed {
+                    Some((name, mgr, keep, dp)) => (self.pushed_scan(span, name, mgr, keep)?, dp),
+                    None => {
+                        let input = self.eval_node(span, *input)?;
+                        (input, plan::expr_to_dim_predicate(&pred)?)
+                    }
+                };
                 self.with_kernel(span, || {
                     ops::subsample_with(&input, &dp, Some(registry), self.ctx)
                 })
@@ -178,12 +195,80 @@ impl Evaluator<'_> {
                 })
             }
             AExpr::Slice { input, dim, at } => {
-                let input = self.eval_node(span, *input)?;
+                // Rank 1 and an unknown dimension keep the full read, so
+                // `remove_dimension` raises their errors as before.
+                let pushed = self.disk_scan(&input).and_then(|(name, mgr, full)| {
+                    let d = mgr.schema().dim_index(&dim)?;
+                    if mgr.schema().rank() == 1 {
+                        return None;
+                    }
+                    let mut keep = full;
+                    let inside = (keep.low[d]..=keep.high[d]).contains(&at);
+                    (keep.low[d], keep.high[d]) = (at, at);
+                    Some((name, mgr, inside.then_some(keep)))
+                });
+                let input = match pushed {
+                    Some((name, mgr, keep)) => self.pushed_scan(span, name, mgr, keep)?,
+                    None => self.eval_node(span, *input)?,
+                };
                 self.timed_serial(span, "slice", &input, || {
                     ops::remove_dimension(&input, &dim, at)
                 })
             }
         }
+    }
+
+    /// The name, storage manager and full domain of `expr` when it scans
+    /// an on-disk array: a read the structural operator directly above
+    /// may narrow to the box it keeps.
+    fn disk_scan<'e>(&self, expr: &'e AExpr) -> Option<(&'e str, &'a StorageManager, HyperRect)> {
+        let AExpr::Scan(name) = expr else {
+            return None;
+        };
+        if system::is_system_array(name) {
+            return None;
+        }
+        // Anything else keeps the plain scan, which raises its error.
+        let Ok(StoredArray::OnDisk(mgr)) = self.state.stored(name) else {
+            return None;
+        };
+        let Ok(full) = full_domain(mgr.schema()) else {
+            return None;
+        };
+        Some((name, mgr, full))
+    }
+
+    /// A scan of the on-disk array `name` that reads only `keep`, the box
+    /// the operator above it keeps (`None`: no cell, so nothing is read).
+    /// Its `scan` span says so with `pushed` and the `region` read.
+    fn pushed_scan(
+        &self,
+        parent: &Span,
+        name: &str,
+        mgr: &StorageManager,
+        keep: Option<HyperRect>,
+    ) -> Result<Array> {
+        self.traced(parent, "scan", |span| {
+            span.set_attr("array", name);
+            span.set_attr("region", keep.as_ref().map_or("empty".into(), render_rect));
+            span.set_attr("pushed", true);
+            match keep {
+                Some(region) => self.read_disk(mgr, &region, span),
+                None => Ok(Array::new(mgr.schema().clone())),
+            }
+        })
+    }
+
+    /// Reads `region` of an on-disk array under the statement's thread
+    /// budget, as a `read_region` child of `span`.
+    fn read_disk(&self, mgr: &StorageManager, region: &HyperRect, span: &Span) -> Result<Array> {
+        let opts = if self.ctx.threads() == 1 {
+            ReadOptions::serial()
+        } else {
+            ReadOptions::parallel_with(self.ctx.threads())
+        };
+        let (a, _stats) = mgr.read_region_traced(region, opts, span)?;
+        Ok(a)
     }
 
     /// Runs `f` with `span` installed as the context's current kernel span,
@@ -211,6 +296,26 @@ impl Evaluator<'_> {
             self.ctx.timed(op, || f().map(|r| (r, chunks, cells)))
         })
     }
+}
+
+/// The lowered subsample predicate when a disk read may be narrowed by
+/// it: it lowers, names only dimensions of `schema`, and calls no UDF (a
+/// UDF may error on a cell the narrowed read would skip). `None` keeps the
+/// full read, which raises every error in its order.
+fn pushable(pred: &Expr, schema: &ArraySchema) -> Option<DimPredicate> {
+    let Ok(dp) = plan::expr_to_dim_predicate(pred) else {
+        return None;
+    };
+    let udf = dp.conds().iter().any(|(_, c)| matches!(c, DimCond::Fn(_)));
+    (!udf && dp.validate(schema).is_ok()).then_some(dp)
+}
+
+/// `[lo..hi, …]`, the box a pushed scan reads.
+fn render_rect(rect: &HyperRect) -> String {
+    let sides: Vec<String> = (0..rect.rank())
+        .map(|d| format!("{}..{}", rect.low[d], rect.high[d]))
+        .collect();
+    format!("[{}]", sides.join(", "))
 }
 
 /// Single-cell probe against a disk-backed array: out-of-domain coords

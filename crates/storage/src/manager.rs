@@ -14,7 +14,7 @@ use scidb_core::array::Array;
 use scidb_core::chunk::Chunk;
 use scidb_core::error::{Error, Result};
 use scidb_core::exec::par_map_threads;
-use scidb_core::geometry::HyperRect;
+use scidb_core::geometry::{chunk_origin_of, chunk_rect, HyperRect};
 use scidb_core::schema::ArraySchema;
 use scidb_obs::{Span, Stopwatch};
 use std::collections::HashMap;
@@ -72,8 +72,11 @@ impl ReadOptions {
         }
     }
 
-    fn resolved_threads(&self) -> usize {
-        if !self.parallel {
+    /// The decode thread budget for `buckets` buckets. One bucket, or
+    /// none, decodes inline without asking the machine for its
+    /// parallelism.
+    fn decode_threads(&self, buckets: usize) -> usize {
+        if !self.parallel || buckets < 2 {
             return 1;
         }
         if self.threads == 0 {
@@ -233,34 +236,43 @@ impl StorageManager {
 
     /// Reads all cells in `region` into an in-memory array, with stats.
     ///
-    /// Intersecting buckets are read and decoded concurrently when
-    /// `opts.parallel` (the disk and catalog are only read through `&self`);
-    /// assembly into the output array is serial, in bucket-key order, so the
-    /// result is identical at every thread count.
+    /// Intersecting buckets are read, decoded and clipped concurrently when
+    /// `opts.parallel` (the disk and catalog are only read through `&self`).
+    /// Each bucket moves into the answer chunk by chunk: the part of it
+    /// inside `region` is split into the schema chunks it meets
+    /// ([`Chunk::project_onto`]), so a merged super-tile bucket becomes
+    /// schema chunks again. Assembly is serial, in bucket-key order, and a
+    /// later bucket wins a cell that an earlier one also holds
+    /// ([`Chunk::overlay`]), so the result is identical at every thread
+    /// count.
     pub fn read_region(&self, region: &HyperRect, opts: ReadOptions) -> Result<(Array, ReadStats)> {
         let start = Stopwatch::start();
         self.check_region(region)?;
         let keys = self.buckets_in(region);
         // analyze: allow(R2, bucket I/O fan-out, not an operator kernel; merged serially in bucket-key order below)
-        let decoded = par_map_threads(opts.resolved_threads(), &keys, |&key| {
+        let decoded = par_map_threads(opts.decode_threads(keys.len()), &keys, |&key| {
             let t = Stopwatch::start();
             let chunk = self.read_bucket(key)?;
-            Ok::<_, Error>((chunk, t.elapsed()))
+            let took = t.elapsed();
+            let cells = chunk.present_count();
+            Ok::<_, Error>((self.split(chunk, region)?, cells, took))
         });
         let mut out = Array::from_arc(Arc::clone(&self.schema));
         let mut stats = ReadStats::default();
         for (key, res) in keys.iter().zip(decoded) {
-            let (chunk, took) = res?;
+            let (pieces, cells, took) = res?;
             let meta = &self.buckets[key];
             stats.buckets += 1;
             stats.bytes_read += meta.bytes as u64;
-            stats.cells_decoded += chunk.present_count();
+            stats.cells_decoded += cells;
             stats.chunk_times.push(took);
-            for (coords, idx) in chunk.iter_present() {
-                if region.contains(&coords) {
-                    out.set_cell(&coords, chunk.record_at(idx))?;
-                    stats.cells_returned += 1;
-                }
+            for piece in pieces {
+                stats.cells_returned += piece.present_count();
+                let piece = match out.chunks().get(&piece.rect().low) {
+                    Some(older) => older.overlay(&piece)?,
+                    None => piece,
+                };
+                out.insert_chunk(piece);
             }
         }
         stats.elapsed = start.elapsed();
@@ -273,6 +285,54 @@ impl StorageManager {
         reg.histogram("scidb.storage.read_wall_us")
             .record(stats.elapsed.as_micros() as u64);
         Ok((out, stats))
+    }
+
+    /// The non-empty parts of a decoded bucket inside `region`, one per
+    /// schema chunk they meet, each over the rectangle
+    /// [`Array::ensure_chunk`] gives that chunk. A bucket that is exactly
+    /// one schema chunk inside the region moves whole.
+    fn split(&self, bucket: Chunk, region: &HyperRect) -> Result<Vec<Chunk>> {
+        let dims = self.schema.dims();
+        let types = self.schema.attrs().iter().map(|a| &a.ty);
+        if !bucket.attr_types().iter().eq(types) {
+            return Err(Error::storage(
+                "bucket attribute types do not match the schema",
+            ));
+        }
+        let Some(clip) = bucket.rect().intersection(region) else {
+            return Ok(Vec::new());
+        };
+        let strides: Vec<i64> = dims.iter().map(|d| d.chunk_len).collect();
+        let uppers: Vec<Option<i64>> = dims.iter().map(|d| d.upper).collect();
+        let first = chunk_origin_of(&clip.low, &strides);
+        if clip == *bucket.rect() && chunk_rect(&first, &strides, &uppers) == clip {
+            return Ok(if bucket.is_empty() {
+                Vec::new()
+            } else {
+                vec![bucket]
+            });
+        }
+        // The cells of the chunk grid that `clip` meets, as grid indices.
+        let index = |c: &[i64]| -> Vec<i64> {
+            c.iter()
+                .zip(&strides)
+                .map(|(&c, &s)| (c - 1).div_euclid(s))
+                .collect()
+        };
+        let cells = HyperRect::new(index(&clip.low), index(&clip.high))?;
+        let mut pieces = Vec::new();
+        for cell in cells.iter_cells() {
+            let origin: Vec<i64> = cell
+                .iter()
+                .zip(&strides)
+                .map(|(&i, &s)| i * s + 1)
+                .collect();
+            let piece = bucket.project_onto(&clip, &chunk_rect(&origin, &strides, &uppers));
+            if !piece.is_empty() {
+                pieces.push(piece);
+            }
+        }
+        Ok(pieces)
     }
 
     /// [`read_region`](Self::read_region) with the read recorded as a
@@ -529,6 +589,82 @@ mod tests {
         root.finish();
         let td = trace.finish();
         assert!(td.spans[1].attr("error").is_some());
+    }
+
+    #[test]
+    fn a_later_bucket_wins_a_cell_an_earlier_one_holds() {
+        let (mut mgr, s) = manager(8, 4);
+        let rect = HyperRect::new(vec![1, 1], vec![4, 4]).unwrap();
+        let types: Vec<_> = s.attrs().iter().map(|a| a.ty.clone()).collect();
+        let mut first = Chunk::new(rect.clone(), &types);
+        let mut second = Chunk::new(rect, &types);
+        for (coords, v) in [([1, 1], 1.0), ([2, 2], 2.0), ([4, 4], 4.0)] {
+            first
+                .set_record(&coords, &record([Value::from(v)]))
+                .unwrap();
+        }
+        for (coords, v) in [([2, 2], 20.0), ([3, 1], 30.0)] {
+            second
+                .set_record(&coords, &record([Value::from(v)]))
+                .unwrap();
+        }
+        mgr.write_chunk(&first).unwrap();
+        mgr.write_chunk(&second).unwrap();
+        let (out, stats) = mgr
+            .read_region(
+                &HyperRect::new(vec![1, 1], vec![8, 8]).unwrap(),
+                ReadOptions::default(),
+            )
+            .unwrap();
+        assert_eq!(stats.buckets, 2);
+        assert_eq!(out.chunks().len(), 1, "both buckets land in one chunk");
+        assert_eq!(out.cell_count(), 4);
+        for (coords, v) in [([1, 1], 1.0), ([2, 2], 20.0), ([3, 1], 30.0), ([4, 4], 4.0)] {
+            assert_eq!(out.get_f64(0, &coords), Some(v), "{coords:?}");
+        }
+    }
+
+    #[test]
+    fn a_merged_bucket_reads_back_as_schema_chunks() {
+        let (mut mgr, s) = manager(16, 4);
+        let a = filled_array(&s);
+        mgr.store_array(&a).unwrap();
+        crate::merge::merge_pass(&mut mgr, 2).unwrap();
+        assert_eq!(mgr.bucket_count(), 4, "2x2 super-tiles of 8x8 cells");
+        let region = HyperRect::new(vec![3, 3], vec![10, 12]).unwrap();
+        let (out, stats) = mgr.read_region(&region, ReadOptions::serial()).unwrap();
+        assert_eq!(stats.buckets, 4);
+        assert_eq!(stats.cells_decoded, 256);
+        assert_eq!(stats.cells_returned, 8 * 10);
+        let fresh = {
+            let mut b = Array::from_arc(Arc::clone(&s));
+            for (coords, rec) in a.cells_in(&region) {
+                b.set_cell(&coords, rec).unwrap();
+            }
+            b
+        };
+        let rects = |x: &Array| {
+            x.chunks()
+                .values()
+                .map(|c| c.rect().clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            rects(&out),
+            rects(&fresh),
+            "the rectangles ensure_chunk builds"
+        );
+        assert!(out.same_cells(&fresh));
+    }
+
+    #[test]
+    fn one_bucket_decodes_inline() {
+        for opts in [ReadOptions::default(), ReadOptions::parallel_with(4)] {
+            assert_eq!(opts.decode_threads(0), 1);
+            assert_eq!(opts.decode_threads(1), 1);
+        }
+        assert_eq!(ReadOptions::parallel_with(4).decode_threads(8), 4);
+        assert_eq!(ReadOptions::serial().decode_threads(8), 1);
     }
 
     #[test]

@@ -234,6 +234,152 @@ fn columnar_construction_equals_legacy_cell_writes() {
     }
 }
 
+/// A drawn chunk over `rect` with an int, a float, a string and an
+/// uncertain column: full, sparse or empty, with NULLs, and with one shared
+/// or per-cell sigma.
+fn drawn_chunk(rng: &mut SmallRng, rect: &HyperRect) -> Chunk {
+    let types = [
+        ScalarType::Int64,
+        ScalarType::Float64,
+        ScalarType::String,
+        ScalarType::UncertainFloat64,
+    ]
+    .map(AttrType::Scalar);
+    let fill = pick(rng, &[0.0, 0.2, 0.7, 1.0]);
+    let shared_sigma = rng.gen_bool(0.5);
+    let mut chunk = Chunk::new(rect.clone(), &types);
+    for coords in rect.iter_cells() {
+        if !rng.gen_bool(fill) {
+            continue;
+        }
+        let mut null_or = |v: Value| if rng.gen_bool(0.2) { Value::Null } else { v };
+        let sigma = if shared_sigma { 0.5 } else { coords[0] as f64 };
+        let rec = vec![
+            null_or(Value::from(coords.iter().sum::<i64>())),
+            null_or(Value::from(coords[0] as f64 * 0.25)),
+            null_or(Value::from(format!("s{coords:?}"))),
+            null_or(Value::from(Uncertain::new(1.0, sigma))),
+        ];
+        chunk.set_record(&coords, &rec).unwrap();
+    }
+    chunk
+}
+
+/// A rectangle of rank `rank` with each side in `1..=6` and its low corner
+/// in `lo..lo + 6`.
+fn drawn_rect(rng: &mut SmallRng, rank: usize, lo: i64) -> HyperRect {
+    let low: Vec<i64> = (0..rank).map(|_| rng.gen_range(lo..lo + 6)).collect();
+    let high = low.iter().map(|&l| l + rng.gen_range(0..6i64)).collect();
+    HyperRect::new(low, high).unwrap()
+}
+
+/// `project_onto` equals the per-cell model — each present cell inside
+/// both rectangles written with `set_record` into an empty chunk of the
+/// target — as a chunk and as bucket bytes, for the chunk's own rectangle,
+/// drawn rectangles, and every cell of a grid laid over the chunk (the
+/// split of a merged bucket into schema chunks). An exact cover shares the
+/// offsets.
+#[test]
+fn project_onto_equals_per_cell_model() {
+    let policy = CodecPolicy::default_policy();
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rank = rng.gen_range(1..=3usize);
+        let rect = drawn_rect(&mut rng, rank, 1);
+        let chunk = drawn_chunk(&mut rng, &rect);
+        let model = |keep: &HyperRect, target: &HyperRect| {
+            let mut out = Chunk::new(target.clone(), chunk.attr_types());
+            for (coords, lane) in chunk.iter_present() {
+                if keep.contains(&coords) && target.contains(&coords) {
+                    out.set_record(&coords, &chunk.record_at(lane)).unwrap();
+                }
+            }
+            out
+        };
+        let check = |keep: &HyperRect, target: &HyperRect| {
+            let got = chunk.project_onto(keep, target);
+            let want = model(keep, target);
+            assert_eq!(got, want, "seed {seed}: keep {keep:?} target {target:?}");
+            assert_eq!(
+                serialize_chunk(&got, policy).unwrap(),
+                serialize_chunk(&want, policy).unwrap(),
+                "seed {seed}: bytes"
+            );
+            got
+        };
+
+        // The chunk's own rectangle, kept whole: shared offsets.
+        let whole = check(&rect.expanded(rng.gen_range(0..3)), &rect);
+        assert_eq!(
+            whole.offsets().as_ptr(),
+            chunk.offsets().as_ptr(),
+            "seed {seed}"
+        );
+        // Drawn keep and target rectangles, overlapping or not.
+        for _ in 0..4 {
+            let keep = drawn_rect(&mut rng, rank, -1);
+            let target = if rng.gen_bool(0.3) {
+                rect.clone()
+            } else {
+                drawn_rect(&mut rng, rank, -1)
+            };
+            check(&keep, &target);
+        }
+        // A grid of strides in `1..=4` over the chunk: its cells partition
+        // the kept present cells.
+        let strides: Vec<i64> = (0..rank).map(|_| rng.gen_range(1..=4i64)).collect();
+        let keep = drawn_rect(&mut rng, rank, 0);
+        let origin = |c: i64, s: i64| (c - 1).div_euclid(s) * s + 1;
+        let grid = HyperRect::new(
+            (0..rank).map(|d| origin(rect.low[d], strides[d])).collect(),
+            (0..rank)
+                .map(|d| origin(rect.high[d], strides[d]))
+                .collect(),
+        )
+        .unwrap();
+        let mut split = 0;
+        for corner in grid.iter_cells() {
+            if (0..rank).any(|d| (corner[d] - grid.low[d]) % strides[d] != 0) {
+                continue;
+            }
+            let high = (0..rank).map(|d| corner[d] + strides[d] - 1).collect();
+            split += check(&keep, &HyperRect::new(corner, high).unwrap()).present_count();
+        }
+        let kept = chunk
+            .iter_present()
+            .filter(|(coords, _)| keep.contains(coords))
+            .count();
+        assert_eq!(
+            split, kept,
+            "seed {seed}: the grid split loses or repeats cells"
+        );
+    }
+}
+
+/// `overlay` equals writing the older chunk's cells and then the newer
+/// one's with `set_record`: the union of both, the newer winning a shared
+/// cell.
+#[test]
+fn overlay_equals_later_writes_win() {
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rank = rng.gen_range(1..=3usize);
+        let rect = drawn_rect(&mut rng, rank, 1);
+        let older = drawn_chunk(&mut rng, &rect);
+        let newer = drawn_chunk(&mut rng, &rect);
+        let mut want = older.clone();
+        for (coords, lane) in newer.iter_present() {
+            want.set_record(&coords, &newer.record_at(lane)).unwrap();
+        }
+        assert_eq!(older.overlay(&newer).unwrap(), want, "seed {seed}");
+    }
+    let rect = HyperRect::new(vec![1], vec![4]).unwrap();
+    let other = HyperRect::new(vec![5], vec![8]).unwrap();
+    let mut rng = SmallRng::seed_from_u64(0);
+    let a = drawn_chunk(&mut rng, &rect);
+    assert!(a.overlay(&drawn_chunk(&mut rng, &other)).is_err());
+}
+
 // ---- geometry --------------------------------------------------------------
 
 #[test]
