@@ -26,8 +26,8 @@ use scidb_core::exec::ExecContext;
 use scidb_core::expr::Expr;
 use scidb_core::geometry::HyperRect;
 use scidb_core::ops::{
-    aggregate_with, apply_with, cjoin, concat, filter_with, project_with, regrid_with, reshape,
-    sjoin, subsample_with, AggInput, DimCond, DimPredicate,
+    add_dimension, aggregate_with, apply_with, cjoin, concat, filter_with, project_with,
+    regrid_with, remove_dimension, reshape, sjoin, subsample_with, AggInput, DimCond, DimPredicate,
 };
 use scidb_core::registry::Registry;
 use scidb_core::value::ScalarType;
@@ -137,6 +137,8 @@ pub fn run_ops(
                 let refs: Vec<&str> = order.iter().map(String::as_str).collect();
                 reshape(&a, &refs, &[("z".to_string(), volume.max(1))])?
             }
+            OpSpec::Slice { dim, at } => remove_dimension(&a, dim, *at)?,
+            OpSpec::AddDim { name } => add_dimension(&a, name)?,
         };
     }
     Ok(a)

@@ -281,6 +281,19 @@ pub enum OpSpec {
     },
     /// Reshape: reverse dimension order, then linearize into one dimension.
     Reshape,
+    /// Slice (`remove dimension`): keep the cells at `dim = at` and drop
+    /// the dimension.
+    Slice {
+        /// Dimension removed.
+        dim: String,
+        /// The coordinate kept (possibly outside the domain).
+        at: i64,
+    },
+    /// `add dimension`: a new trailing dimension of extent 1.
+    AddDim {
+        /// New dimension name.
+        name: String,
+    },
 }
 
 impl OpSpec {
@@ -297,6 +310,8 @@ impl OpSpec {
             OpSpec::Cjoin { .. } => "cjoin",
             OpSpec::Concat { .. } => "concat",
             OpSpec::Reshape => "reshape",
+            OpSpec::Slice { .. } => "slice",
+            OpSpec::AddDim { .. } => "adddim",
         }
     }
 
@@ -357,6 +372,15 @@ impl OpSpec {
                 ("dim", Json::str(dim.clone())),
             ]),
             OpSpec::Reshape => Json::obj(vec![("op", Json::str("reshape"))]),
+            OpSpec::Slice { dim, at } => Json::obj(vec![
+                ("op", Json::str("slice")),
+                ("dim", Json::str(dim.clone())),
+                ("at", Json::Int(*at)),
+            ]),
+            OpSpec::AddDim { name } => Json::obj(vec![
+                ("op", Json::str("adddim")),
+                ("name", Json::str(name.clone())),
+            ]),
         }
     }
 
@@ -416,6 +440,13 @@ impl OpSpec {
                 dim: j.req("dim")?.as_str()?.to_string(),
             },
             "reshape" => OpSpec::Reshape,
+            "slice" => OpSpec::Slice {
+                dim: j.req("dim")?.as_str()?.to_string(),
+                at: j.req("at")?.as_int()?,
+            },
+            "adddim" => OpSpec::AddDim {
+                name: j.req("name")?.as_str()?.to_string(),
+            },
             other => return Err(Error::eval(format!("case JSON: unknown op '{other}'"))),
         })
     }
@@ -690,6 +721,11 @@ mod tests {
         let text = c.to_json();
         let back = Case::from_json(&text).unwrap();
         assert_eq!(c, back);
+        // Every op form, the structural ones included.
+        for seed in 1..200 {
+            let c = crate::gen::generate(seed);
+            assert_eq!(Case::from_json(&c.to_json()).unwrap(), c, "seed {seed}");
+        }
     }
 
     #[test]

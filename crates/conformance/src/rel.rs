@@ -375,6 +375,54 @@ fn apply_op(state: RelState, op: &OpSpec, registry: &Registry) -> Result<RelStat
                 dims: vec![("z".into(), Some(volume))],
             })
         }
+        OpSpec::Slice { dim, at } => {
+            let d = state.dim_index(dim)?;
+            if n == 1 {
+                return Err(Error::dimension("cannot remove the only dimension"));
+            }
+            let mut columns = state.table.columns().to_vec();
+            columns.remove(d);
+            let rows: Vec<Row> = state
+                .table
+                .rows()
+                .iter()
+                .filter(|r| r[d].as_i64() == Some(*at))
+                .map(|r| {
+                    let mut out = r.clone();
+                    out.remove(d);
+                    out
+                })
+                .collect();
+            let table = state.rebuild(columns, rows)?;
+            let mut dims = state.dims.clone();
+            dims.remove(d);
+            Ok(RelState { table, dims })
+        }
+        OpSpec::AddDim { name } => {
+            // Every row gains coordinate 1 on a new last dimension column.
+            let mut columns = state.table.columns().to_vec();
+            columns.insert(
+                n,
+                ColumnDef {
+                    name: name.clone(),
+                    ty: ScalarType::Int64,
+                },
+            );
+            let rows: Vec<Row> = state
+                .table
+                .rows()
+                .iter()
+                .map(|r| {
+                    let mut out = r.clone();
+                    out.insert(n, Value::from(1i64));
+                    out
+                })
+                .collect();
+            let table = state.rebuild(columns, rows)?;
+            let mut dims = state.dims.clone();
+            dims.push((name.clone(), Some(1)));
+            Ok(RelState { table, dims })
+        }
     }
 }
 

@@ -138,6 +138,15 @@ fn translate(op: &OpSpec, shadow: &Array, input: AExpr) -> Result<AExpr> {
                 new_dims: vec![("z".to_string(), volume.max(1))],
             }
         }
+        OpSpec::Slice { dim, at } => AExpr::Slice {
+            input: Box::new(input),
+            dim: dim.clone(),
+            at: *at,
+        },
+        OpSpec::AddDim { name } => AExpr::AddDim {
+            input: Box::new(input),
+            name: name.clone(),
+        },
     })
 }
 

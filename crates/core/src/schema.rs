@@ -198,14 +198,27 @@ impl ArraySchema {
     }
 
     /// Declares the array updatable (§2.5): appends the implicit unbounded
-    /// `history` dimension if not already present.
+    /// `history` dimension if not already present. The history dimension
+    /// has chunk length 1, so that each chunk holds one history version: a
+    /// declared one gets it too, unless it names another stride, which is an
+    /// error (the default stride counts as none named).
     pub fn updatable(mut self) -> Result<Self> {
         if self.updatable {
             return Ok(self);
         }
-        if self.dims.iter().any(|d| d.name == HISTORY_DIM) {
+        if let Some(d) = self.dims.iter_mut().find(|d| d.name == HISTORY_DIM) {
             // The user already declared history explicitly, like the paper's
             // `Remote_2 (…) (I, J, history)` example.
+            let default = d
+                .upper
+                .map_or(DEFAULT_CHUNK_LEN, |u| DEFAULT_CHUNK_LEN.min(u.max(1)));
+            if d.chunk_len != 1 && d.chunk_len != default {
+                return Err(Error::schema(format!(
+                    "array '{}': the history dimension has chunk length 1, not {}",
+                    self.name, d.chunk_len
+                )));
+            }
+            d.chunk_len = 1;
             self.updatable = true;
             return Ok(self);
         }
@@ -506,6 +519,18 @@ mod tests {
         .updatable()
         .unwrap();
         assert_eq!(s.rank(), 3, "no duplicate history dim");
+        assert_eq!(s.dims()[2].chunk_len, 1, "one history version per chunk");
+        // Another declared stride cannot be honoured.
+        let strided = ArraySchema::new(
+            "Remote_2",
+            vec![AttributeDef::scalar("s1", ScalarType::Float64)],
+            vec![
+                DimensionDef::bounded("I", 4),
+                DimensionDef::unbounded(HISTORY_DIM).with_chunk(8),
+            ],
+        )
+        .unwrap();
+        assert!(matches!(strided.updatable(), Err(Error::Schema(_))));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::compress::{
     put_varint, unzigzag, zigzag, Codec,
 };
 use scidb_core::bitvec::BitVec;
-use scidb_core::chunk::{Chunk, Column, SigmaStore};
+use scidb_core::chunk::{Chunk, Column, Layer, SigmaStore};
 use scidb_core::error::{Error, Result};
 use scidb_core::geometry::HyperRect;
 use scidb_core::schema::AttrType;
@@ -21,6 +21,8 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"SBKT";
 const VERSION: u8 = 1;
+/// Tags the optional deletion section that follows the last column.
+const DELETIONS_TAG: u8 = b'D';
 
 /// Per-type codec choices for bucket encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,6 +158,18 @@ fn get_section<'a>(data: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
 /// column, written straight from its lanes. NULL lanes carry placeholders
 /// (0, 0.0, false, "", σ 0), never whatever value the lane still holds.
 pub fn serialize_chunk(chunk: &Chunk, policy: CodecPolicy) -> Result<Vec<u8>> {
+    serialize_layer(chunk, None, policy)
+}
+
+/// Serializes a history layer — a chunk and its deletion lanes (see
+/// [`Layer`]): [`serialize_chunk`]'s payload followed, when the layer
+/// deletes a cell, by its deletion lanes as one self-tagged bitmap section.
+/// A layer that deletes nothing has exactly its chunk's bytes.
+pub fn serialize_layer(
+    chunk: &Chunk,
+    deleted: Option<&BitVec>,
+    policy: CodecPolicy,
+) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
@@ -181,6 +195,21 @@ pub fn serialize_chunk(chunk: &Chunk, policy: CodecPolicy) -> Result<Vec<u8>> {
     for (ty, col) in chunk.attr_types().iter().zip(chunk.columns()) {
         out.push(type_tag(ty)?);
         put_column(&mut out, col, policy)?;
+    }
+    if let Some(deleted) = deleted.filter(|d| d.count_ones() > 0) {
+        if deleted.len() != chunk.present_count() {
+            return Err(Error::storage(
+                "deletion lanes do not match the chunk's lanes",
+            ));
+        }
+        out.push(DELETIONS_TAG);
+        put_tagged_section(
+            &mut out,
+            policy.bytes,
+            policy.adaptive,
+            &BYTE_CANDIDATES,
+            |c| encode_bytes(&le_bytes(deleted), c),
+        )?;
     }
     Ok(out)
 }
@@ -281,8 +310,23 @@ fn read_codec(data: &[u8], pos: &mut usize) -> Result<Codec> {
 ///
 /// The rectangle and the offsets come from untrusted bytes, so a rectangle
 /// of more than `u32::MAX` cells (or one whose sides overflow) and offsets
-/// that are out of range or not strictly increasing are storage errors.
+/// that are out of range or not strictly increasing are storage errors. So
+/// is a bucket with deletion lanes, which only [`deserialize_layer`] reads:
+/// a deleted cell must never read back as a present one.
 pub fn deserialize_chunk(data: &[u8]) -> Result<Chunk> {
+    let layer = deserialize_layer(data)?;
+    if layer.deleted.is_some() {
+        return Err(Error::storage(
+            "bucket holds deletion lanes; it is a history layer",
+        ));
+    }
+    Ok(layer.chunk)
+}
+
+/// Deserializes a bucket payload written by [`serialize_layer`]: the chunk
+/// and its deletion lanes, if it has any. Bytes after the last column
+/// other than one deletion section are a storage error.
+pub fn deserialize_layer(data: &[u8]) -> Result<Layer> {
     if data.len() < 5 || &data[..4] != MAGIC {
         return Err(Error::storage("bad bucket magic"));
     }
@@ -415,7 +459,24 @@ pub fn deserialize_chunk(data: &[u8]) -> Result<Chunk> {
         columns.push(col);
         attr_types.push(ty);
     }
-    Chunk::from_parts(rect, attr_types, Arc::new(offsets), columns)
+    let deleted = match data.get(pos) {
+        None => None,
+        Some(&DELETIONS_TAG) => {
+            pos += 1;
+            let codec = read_codec(data, &mut pos)?;
+            let bytes = decode_bytes(get_section(data, &mut pos)?, codec)?;
+            let deleted = bits_from_le(&bytes, n_present, "deletion bitmap")?;
+            if pos != data.len() || deleted.count_ones() == 0 {
+                return Err(Error::storage("malformed deletion section"));
+            }
+            Some(deleted)
+        }
+        Some(_) => return Err(Error::storage("trailing bytes after the last column")),
+    };
+    Ok(Layer {
+        chunk: Chunk::from_parts(rect, attr_types, Arc::new(offsets), columns)?,
+        deleted,
+    })
 }
 
 /// The first `n` bits of a bitmap stored as little-endian `u64` words.
@@ -747,6 +808,39 @@ mod tests {
                 );
                 assert_eq!(&deserialize_chunk(&bytes).unwrap(), chunk, "{what}");
             }
+        }
+    }
+
+    #[test]
+    fn deletion_lanes_ride_in_their_own_section() {
+        let chunk = sample_chunk(4, false);
+        let n = chunk.present_count();
+        let mut deleted = BitVec::filled(n, false);
+        deleted.set(1, true);
+        deleted.set(n - 1, true);
+        for policy in [CodecPolicy::default_policy(), CodecPolicy::adaptive()] {
+            let plain = serialize_chunk(&chunk, policy).unwrap();
+            let none = BitVec::filled(n, false);
+            assert_eq!(
+                serialize_layer(&chunk, Some(&none), policy).unwrap(),
+                plain,
+                "a layer that deletes nothing keeps its chunk's bytes"
+            );
+            let bytes = serialize_layer(&chunk, Some(&deleted), policy).unwrap();
+            assert_eq!(&bytes[..plain.len()], &plain[..]);
+            let back = deserialize_layer(&bytes).unwrap();
+            assert_eq!(back.chunk, chunk);
+            assert_eq!(back.deleted.as_ref(), Some(&deleted));
+            assert!(
+                deserialize_chunk(&bytes).is_err(),
+                "a deleted cell never reads back as present"
+            );
+            let mut trailing = plain.clone();
+            trailing.push(0);
+            assert!(deserialize_layer(&trailing).is_err());
+            assert!(deserialize_layer(&bytes[..bytes.len() - 1]).is_err());
+            let long = BitVec::filled(n + 1, true);
+            assert!(serialize_layer(&chunk, Some(&long), policy).is_err());
         }
     }
 

@@ -10,20 +10,20 @@
 //! lists; a space smaller than the case count is enumerated instead.
 
 use scidb::core::bitvec::BitVec;
-use scidb::core::chunk::{Chunk, Column};
+use scidb::core::chunk::{Chunk, Column, Layer};
 use scidb::core::expr::Expr;
 use scidb::core::geometry::HyperRect;
 use scidb::core::history::{Transaction, UpdatableArray};
 use scidb::core::ops::{self, DimCond, DimPredicate};
 use scidb::core::registry::Registry;
 use scidb::core::rng::SmallRng;
-use scidb::core::schema::AttrType;
+use scidb::core::schema::{AttrType, AttributeDef, DimensionDef};
 use scidb::grid::{PartitionScheme, ReplicatedPlacement};
 use scidb::query::{parse, parse_one, scan, Q};
 use scidb::storage::compress::{
     decode_bytes, decode_f64s, decode_i64s, encode_bytes, encode_f64s, encode_i64s, Codec,
 };
-use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy};
+use scidb::storage::{deserialize_chunk, serialize_chunk, CodecPolicy, DeltaStore, MemDisk};
 use scidb::{Array, ScalarType, SchemaBuilder, Uncertain, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -356,28 +356,193 @@ fn project_onto_equals_per_cell_model() {
     }
 }
 
-/// `overlay` equals writing the older chunk's cells and then the newer
-/// one's with `set_record`: the union of both, the newer winning a shared
-/// cell.
+/// `overlay` equals writing the layers' cells in order with `set_record`,
+/// a deletion lane clearing its cell with `clear_cell`: the newest layer
+/// holding a cell wins it, and a winning deletion removes it. The two-layer
+/// cases without deletions come first, drawn as before; then k layers, some
+/// with deletion lanes.
 #[test]
 fn overlay_equals_later_writes_win() {
+    let model = |layers: &[Layer]| {
+        let mut want = Chunk::new(layers[0].chunk.rect().clone(), layers[0].chunk.attr_types());
+        for l in layers {
+            for (coords, lane) in l.chunk.iter_present() {
+                if l.deleted.as_ref().is_some_and(|d| d.get(lane)) {
+                    want.clear_cell(&coords);
+                } else {
+                    want.set_record(&coords, &l.chunk.record_at(lane)).unwrap();
+                }
+            }
+        }
+        want
+    };
     for seed in 0..256u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let rank = rng.gen_range(1..=3usize);
         let rect = drawn_rect(&mut rng, rank, 1);
         let older = drawn_chunk(&mut rng, &rect);
         let newer = drawn_chunk(&mut rng, &rect);
-        let mut want = older.clone();
-        for (coords, lane) in newer.iter_present() {
-            want.set_record(&coords, &newer.record_at(lane)).unwrap();
-        }
-        assert_eq!(older.overlay(&newer).unwrap(), want, "seed {seed}");
+        let layers = [Layer::from(older), Layer::from(newer)];
+        let want = model(&layers);
+        assert_eq!(
+            Chunk::overlay(layers.to_vec()).unwrap(),
+            want,
+            "seed {seed}"
+        );
+    }
+    let policy = CodecPolicy::default_policy();
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rank = rng.gen_range(1..=3usize);
+        let rect = drawn_rect(&mut rng, rank, 1);
+        let layers: Vec<Layer> = vec_of(&mut rng, 1..6, |r| {
+            let chunk = drawn_chunk(r, &rect);
+            let deleted = r.gen_bool(0.5).then(|| {
+                let mut d = BitVec::filled(chunk.present_count(), false);
+                for lane in 0..chunk.present_count() {
+                    d.set(lane, r.gen_bool(0.3));
+                }
+                d
+            });
+            Layer { chunk, deleted }
+        });
+        let got = Chunk::overlay(layers.clone()).unwrap();
+        let want = model(&layers);
+        assert_eq!(got, want, "seed {seed}: {} layers", layers.len());
+        assert_eq!(
+            serialize_chunk(&got, policy).unwrap(),
+            serialize_chunk(&want, policy).unwrap(),
+            "seed {seed}: bytes"
+        );
     }
     let rect = HyperRect::new(vec![1], vec![4]).unwrap();
     let other = HyperRect::new(vec![5], vec![8]).unwrap();
     let mut rng = SmallRng::seed_from_u64(0);
-    let a = drawn_chunk(&mut rng, &rect);
-    assert!(a.overlay(&drawn_chunk(&mut rng, &other)).is_err());
+    let a = Layer::from(drawn_chunk(&mut rng, &rect));
+    let b = Layer::from(drawn_chunk(&mut rng, &other));
+    assert!(Chunk::overlay(vec![a.clone(), b]).is_err());
+    assert!(Chunk::overlay(Vec::new()).is_err());
+    let short = Layer {
+        deleted: Some(BitVec::filled(a.chunk.present_count() + 1, true)),
+        ..a
+    };
+    assert!(
+        Chunk::overlay(vec![short]).is_err(),
+        "deletion lanes off by one"
+    );
+}
+
+/// A drawn array over `uppers` (`None` is unbounded, its cells then drawn
+/// over `1..=9`): every dimension with a stride in `1..=4`, so chunks are
+/// clipped by the bound or not, and the column types of [`drawn_chunk`],
+/// NULLs included.
+fn drawn_array(rng: &mut SmallRng, name: &str, uppers: &[Option<i64>]) -> Array {
+    let attrs = [
+        ("a", ScalarType::Int64),
+        ("b", ScalarType::Float64),
+        ("c", ScalarType::String),
+        ("d", ScalarType::UncertainFloat64),
+    ]
+    .map(|(n, t)| AttributeDef::scalar(n, t));
+    let dims = uppers.iter().enumerate().map(|(d, upper)| {
+        let dim = match upper {
+            Some(u) => DimensionDef::bounded(format!("d{d}"), *u),
+            None => DimensionDef::unbounded(format!("d{d}")),
+        };
+        dim.with_chunk(rng.gen_range(1..=4))
+    });
+    let schema = scidb::ArraySchema::new(name, attrs.to_vec(), dims.collect()).unwrap();
+    let mut a = Array::new(schema);
+    let high = uppers.iter().map(|u| u.unwrap_or(9)).collect();
+    let fill = pick(rng, &[0.0, 0.3, 0.8]);
+    let shared_sigma = rng.gen_bool(0.5);
+    for coords in HyperRect::new(vec![1; uppers.len()], high)
+        .unwrap()
+        .iter_cells()
+    {
+        if !rng.gen_bool(fill) {
+            continue;
+        }
+        let mut null_or = |v: Value| if rng.gen_bool(0.2) { Value::Null } else { v };
+        let sigma = if shared_sigma { 0.5 } else { coords[0] as f64 };
+        let rec = vec![
+            null_or(Value::from(coords.iter().sum::<i64>())),
+            null_or(Value::from(coords[0] as f64 * 0.25)),
+            null_or(Value::from(format!("s{coords:?}"))),
+            null_or(Value::from(Uncertain::new(1.0, sigma))),
+        ];
+        a.set_cell(&coords, rec).unwrap();
+    }
+    a
+}
+
+/// `add_dimension`, `remove_dimension` and `concat` move chunks whole; each
+/// equals the per-cell loop it replaced — every input cell written with
+/// `set_cell` at its output coordinates into an empty array of the output
+/// schema — as an array and as bucket bytes. The draws cover chunks the
+/// bound clips or not, unbounded dimensions, NULL and string columns,
+/// slices outside the domain, and concatenations whose operands have
+/// different strides.
+#[test]
+fn structural_ops_equal_per_cell_model() {
+    let policy = CodecPolicy::default_policy();
+    let check = |seed: u64, what: &str, got: Array, cells: Vec<(Vec<i64>, Vec<Value>)>| {
+        let mut want = Array::new(got.schema().clone());
+        for (coords, rec) in cells {
+            want.set_cell(&coords, rec).unwrap();
+        }
+        assert_eq!(got, want, "seed {seed}: {what}");
+        for (g, w) in got.chunks().values().zip(want.chunks().values()) {
+            assert_eq!(
+                serialize_chunk(g, policy).unwrap(),
+                serialize_chunk(w, policy).unwrap(),
+                "seed {seed}: {what} bytes"
+            );
+        }
+    };
+    for seed in 0..256u64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let rank = rng.gen_range(1..=3usize);
+        let uppers: Vec<Option<i64>> = (0..rank)
+            .map(|_| (!rng.gen_bool(0.25)).then(|| rng.gen_range(1..=9i64)))
+            .collect();
+        let a = drawn_array(&mut rng, "A", &uppers);
+
+        let added = a.cells().map(|(mut c, r)| {
+            c.push(1);
+            (c, r)
+        });
+        check(
+            seed,
+            "adddim",
+            ops::add_dimension(&a, "new").unwrap(),
+            added.collect(),
+        );
+
+        let d = rng.gen_range(0..rank);
+        let name = format!("d{d}");
+        if rank > 1 {
+            // `at` 0 and 10 lie outside every domain drawn.
+            let at = rng.gen_range(0..=10i64);
+            let sliced = a.cells().filter(|(c, _)| c[d] == at).map(|(mut c, r)| {
+                c.remove(d);
+                (c, r)
+            });
+            let got = ops::remove_dimension(&a, &name, at).unwrap();
+            check(seed, "slice", got, sliced.collect());
+        }
+
+        let mut b_uppers = uppers.clone();
+        b_uppers[d] = (!rng.gen_bool(0.25)).then(|| rng.gen_range(1..=9i64));
+        let b = drawn_array(&mut rng, "B", &b_uppers);
+        let a_extent = uppers[d].unwrap_or_else(|| a.high_water(d));
+        let shifted = b.cells().map(|(mut c, r)| {
+            c[d] += a_extent;
+            (c, r)
+        });
+        let got = ops::concat(&a, &b, &name).unwrap();
+        check(seed, "concat", got, a.cells().chain(shifted).collect());
+    }
 }
 
 // ---- geometry --------------------------------------------------------------
@@ -615,6 +780,8 @@ fn history_latest_matches_sequential_model() {
             })
         });
         let mut arr = UpdatableArray::new(schema.clone()).unwrap();
+        let mut store =
+            DeltaStore::new(Arc::new(MemDisk::new()), &schema, CodecPolicy::adaptive()).unwrap();
         let mut model: HashMap<[i64; 2], Option<f64>> = HashMap::new();
         let mut snapshots = Vec::new();
         for spec in &txns {
@@ -635,6 +802,7 @@ fn history_latest_matches_sequential_model() {
                 model.insert(*at, None);
             }
             arr.commit(txn).unwrap();
+            store.sync_from(&arr).unwrap();
             snapshots.push(model.clone());
         }
         let value = |r: Vec<Value>| r[0].as_f64().unwrap();
@@ -645,12 +813,29 @@ fn history_latest_matches_sequential_model() {
                 assert_eq!(got, expect, "seed {seed}: latest ({i}, {j})");
             }
         }
-        // Time travel matches every historical snapshot.
+        // Time travel matches every historical snapshot: cell by cell, as
+        // a materialized snapshot, and from the persisted layers.
         for (h, snap) in snapshots.iter().enumerate() {
             let h = h as i64 + 1;
             for (at, expect) in snap {
                 let got = arr.get_at(at, h).map(value);
                 assert_eq!(got, *expect, "seed {seed}: history {h} cell {at:?}");
+            }
+            let live: BTreeMap<[i64; 2], f64> = snap
+                .iter()
+                .filter_map(|(at, v)| v.map(|v| (*at, v)))
+                .collect();
+            let read = |a: &Array| -> BTreeMap<[i64; 2], f64> {
+                a.cells().map(|(c, r)| ([c[0], c[1]], value(r))).collect()
+            };
+            let mem = arr.snapshot_at(h).unwrap();
+            assert_eq!(read(&mem), live, "seed {seed}: snapshot at {h}");
+            assert_eq!(mem.cell_count(), live.len(), "seed {seed}: {h}");
+            let disk = store.snapshot_at(h).unwrap();
+            assert_eq!(disk, mem, "seed {seed}: persisted snapshot at {h}");
+            for (at, expect) in snap {
+                let (got, _) = store.read_cell_at(at, h).unwrap();
+                assert_eq!(got.map(value), *expect, "seed {seed}: read {at:?} at {h}");
             }
         }
     }
